@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -20,6 +21,12 @@ def _bits(mask: int) -> Iterator[int]:
         lsb = mask & -mask
         yield lsb.bit_length() - 1
         mask ^= lsb
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    """The unordered pairs of 0..n-1 in lexicographic order."""
+    return tuple(combinations(range(n), 2))
 
 
 @dataclass(frozen=True)
@@ -60,14 +67,19 @@ class Graph:
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
         """Graph from a bitmask over the unordered pairs in lexicographic order."""
-        pairs = list(combinations(range(n), 2))
+        pairs = _pair_table(n)
         if mask < 0 or mask >= 1 << len(pairs):
             raise ValueError("edge mask out of range")
-        return cls.from_edges(n, (pairs[i] for i in _bits(mask)))
+        rows = [0] * n
+        for i in _bits(mask):
+            u, v = pairs[i]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return cls(n, tuple(rows))
 
     def edge_mask(self) -> int:
         mask = 0
-        for idx, (u, v) in enumerate(combinations(range(self.n), 2)):
+        for idx, (u, v) in enumerate(_pair_table(self.n)):
             if (self.adj[u] >> v) & 1:
                 mask |= 1 << idx
         return mask
@@ -444,20 +456,81 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), tuple(rows))
 
 
+def _stable_coloring(g: Graph) -> tuple[list[int], tuple]:
+    """Color refinement from the degrees until the partition is stable.
+
+    Each round names a vertex's new color by the rank of its signature (own
+    color, sorted neighbor colors) among the sorted distinct signatures, so
+    colors never depend on vertex labels. Returns the stable colors and the
+    sorted signatures of the last round.
+    """
+    colors = [row.bit_count() for row in g.adj]
+    count = len(set(colors))
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in _bits(g.adj[v]))))
+            for v in range(g.n)
+        ]
+        names = sorted(set(sigs))
+        if len(names) == count:  # no cell split: the partition is stable
+            return colors, tuple(sorted(sigs))
+        index = {sig: i for i, sig in enumerate(names)}
+        colors = [index[sig] for sig in sigs]
+        count = len(names)
+
+
+def canonical_key(g: Graph) -> tuple:
+    """A key that two graphs share exactly when they are isomorphic.
+
+    The key is (color signature, minimum encoding). The color signature comes
+    from stable color refinement. The encoding of a vertex order packs, row
+    by row, each vertex's adjacency to the vertices before it; the minimum
+    runs over the orders that keep the cells in color order and permute only
+    within each cell. It is found position by position, keeping every
+    partial order that ties on the smallest prefix. Twins (same neighbors
+    apart from each other) are placed in label order, since swapping two of
+    them is an automorphism. The work grows with the size of the cells, so
+    the key is meant for small graphs (n <= 8 or refinement-friendly ones).
+    """
+    colors, signature = _stable_coloring(g)
+    adj = g.adj
+    cell: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        cell[c] = cell.get(c, 0) | 1 << v
+    twins_before = [0] * g.n
+    for v in range(g.n):
+        for u in _bits(cell[colors[v]] & ((1 << v) - 1)):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                twins_before[v] |= 1 << u
+    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (order, used mask)
+    code = 0
+    for i, c in enumerate(sorted(colors)):
+        best_row = -1
+        extended: list[tuple[tuple[int, ...], int]] = []
+        for order, used in partial:
+            for v in _bits(cell[c] & ~used):
+                if twins_before[v] & ~used:
+                    continue  # a smaller twin of v must come first
+                row = 0
+                for u in order:
+                    row = row << 1 | (adj[v] >> u) & 1
+                if best_row < 0 or row < best_row:
+                    best_row = row
+                    extended = []
+                if row == best_row:
+                    extended.append((order + (v,), used | 1 << v))
+        partial = extended
+        code = code << i | best_row
+    return signature, code
+
+
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Brute-force isomorphism test, intended for n <= 8."""
+    """Isomorphism test by comparing canonical keys, intended for n <= 8."""
     if g1.n != g2.n:
         return False
     if g1.n > 8:
-        raise ValueError("brute-force isomorphism is limited to n <= 8")
-    if g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(map(g1.degree, range(g1.n))) != sorted(map(g2.degree, range(g2.n))):
-        return False
-    for perm in permutations(range(g1.n)):
-        if all(g2.has_edge(perm[u], perm[v]) for u, v in g1.edges()):
-            return True
-    return False
+        raise ValueError("isomorphism testing is limited to n <= 8")
+    return canonical_key(g1) == canonical_key(g2)
 
 
 # ---------------------------------------------------------------------------

@@ -269,10 +269,14 @@ def min_column_basis_weight(m: FieldMatrix) -> int:
     Lexicographic subset search, pruning on partial weight and on partial
     dependence (a dependent prefix cannot extend to a basis).
     """
-    k = m.rank()
+    return _min_basis_weight(_column_vectors(m), m.rank(), m.p)
+
+
+def _min_basis_weight(cols: Sequence[Sequence[int]], k: int, p: int) -> int:
+    """Minimum total nonzeros over k independent vectors among cols, where k
+    is the rank of cols over GF(p)."""
     if k == 0:
         return 0
-    cols = _column_vectors(m)
     weights = [sum(1 for x in col if x) for col in cols]
     ncols = len(cols)
     best: list[int] = [sum(sorted(weights, reverse=True)[:k]) ]  # trivial upper bound
@@ -290,7 +294,7 @@ def min_column_basis_weight(m: FieldMatrix) -> int:
                 continue
             candidate = chosen + [idx]
             sub = [cols[i] for i in candidate]
-            if mod_rank(sub, m.p) == len(candidate):
+            if mod_rank(sub, p) == len(candidate):
                 extend(idx + 1, candidate, w)
 
     extend(0, [], 0)

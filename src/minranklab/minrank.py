@@ -246,6 +246,15 @@ def solver_work_estimate(n: int, p: int, k_lo: int, k_hi: int) -> int:
     return sum(gaussian_binomial(n, k, p) for k in range(k_lo, k_hi)) * n * factor
 
 
+def _check_coloring_witness(g: GraphLike, value: int, witness: FieldMatrix, upper: int) -> None:
+    """Raise RuntimeError unless the coloring witness attains the upper bound
+    and represents g; these checks hold under `python -O` too."""
+    if value != upper:
+        raise RuntimeError(f"internal error: coloring value {value} != upper bound {upper}")
+    if not represents(witness, g):
+        raise RuntimeError("internal error: the coloring witness does not represent the graph")
+
+
 def minrank_exact(
     g: GraphLike,
     p: int,
@@ -266,7 +275,7 @@ def minrank_exact(
     lower, upper = bounds.lower, bounds.upper
     if lower == upper:
         value, witness = _coloring_witness(g, p)
-        assert value == upper and represents(witness, g)
+        _check_coloring_witness(g, value, witness, upper)
         return MinrankResult(value, witness, lower, upper)
     check_budget(
         solver_work_estimate(n, p, lower, upper),
@@ -277,8 +286,12 @@ def minrank_exact(
         basis = _first_feasible(g, p, k, jobs)
         if basis is not None:
             witness = _witness_from_space(g, p, basis)
-            assert represents(witness, g) and witness.rank() == k
+            if not represents(witness, g):
+                raise RuntimeError(f"internal error: rank-{k} witness does not represent g")
+            rank = witness.rank()
+            if rank != k:
+                raise RuntimeError(f"internal error: rank-{k} witness has rank {rank}")
             return MinrankResult(k, witness, lower, upper)
     value, witness = _coloring_witness(g, p)
-    assert value == upper and represents(witness, g)
+    _check_coloring_witness(g, value, witness, upper)
     return MinrankResult(upper, witness, lower, upper)

@@ -23,18 +23,18 @@ from .budgets import (
 )
 from .graphs import (
     Graph,
+    canonical_key,
     complement,
     complete_multipartite,
     contains_subgraph,
-    is_isomorphic,
     is_tree,
     sample_digraph,
     underlying_graph,
 )
 from .matrices import (
     FieldMatrix,
-    min_column_basis_weight,
-    min_row_basis_weight,
+    _column_vectors,
+    _min_basis_weight,
     sparsity,
 )
 from .minrank import minrank_exact
@@ -137,7 +137,9 @@ def _census_worker(args) -> dict:
     for idx in range(start, stop):
         rows = _mixed_radix_rows(n, p, False, idx)
         m = FieldMatrix.from_rows(p, rows)
-        key = (m.rank(), min_column_basis_weight(m), min_row_basis_weight(m))
+        k = m.rank()
+        column_weight = _min_basis_weight(_column_vectors(m), k, p)
+        key = (k, column_weight, _min_basis_weight(m.entries, k, p))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -221,9 +223,10 @@ def _submatrix_worker(args) -> list:
                 continue
             s_prime = sparsity(sub)
             # ell = 2 s' k' / n' as a rational threshold: compare cleared of n'
+            bound = 2 * s_prime * k_prime
             if (
-                min_column_basis_weight(sub) * n_prime <= 2 * s_prime * k_prime
-                and min_row_basis_weight(sub) * n_prime <= 2 * s_prime * k_prime
+                _min_basis_weight(_column_vectors(sub), k_prime, p) * n_prime <= bound
+                and _min_basis_weight(sub.entries, k_prime, p) * n_prime <= bound
             ):
                 found = True
                 break
@@ -274,13 +277,11 @@ class ExhaustiveExtremal:
 
 
 def _dedup_by_isomorphism(graphs: Sequence[Graph]) -> list[Graph]:
-    buckets: dict[tuple, list[Graph]] = {}
+    """The first graph of each isomorphism class, in input order."""
+    reps: dict[tuple, Graph] = {}
     for g in graphs:
-        key = tuple(sorted(g.degree(v) for v in range(g.n)))
-        reps = buckets.setdefault(key, [])
-        if not any(is_isomorphic(g, rep) for rep in reps):
-            reps.append(g)
-    return [g for reps in buckets.values() for g in reps]
+        reps.setdefault(canonical_key(g), g)
+    return list(reps.values())
 
 
 def exhaustive_g(
@@ -293,9 +294,12 @@ def exhaustive_g(
 ) -> ExhaustiveExtremal:
     """Maximum exact minrank over all n-vertex graphs with H-free complement.
 
-    Graphs are enumerated raw at n <= 5; at n = 6 the accepted graphs are
-    deduplicated up to isomorphism (degree-sequence buckets, brute-force
-    checks) before the solver runs, since minrank is isomorphism-invariant.
+    Graphs are enumerated raw at n <= 5; from n = 6 on, the accepted graphs
+    are deduplicated up to isomorphism before the solver runs, since minrank
+    is isomorphism-invariant: one dict insert per graph keyed by
+    `canonical_key`, keeping each class's first graph in edge-mask order.
+    Either way the witness is the accepted graph of smallest edge mask among
+    those attaining the maximum.
     """
     total = 1 << (n * (n - 1) // 2)
     check_budget(total, graph_budget, f"graph sweep at n={n}")

@@ -1,10 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
 
 from minranklab.graphs import (
     Digraph,
     Graph,
+    canonical_key,
     chromatic_number,
     complement,
     complete_graph,
@@ -299,3 +301,84 @@ class TestInduced:
         assert sub == path_graph(3)
         with pytest.raises(ValueError):
             induced_subgraph(g, [0, 0, 1])
+
+
+def to_networkx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def relabeled(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def degree_preserving_swap(g, rng):
+    """Replace edges ab, cd by ad, cb when both are non-edges; else return g."""
+    (a, b), (c, d) = rng.sample(g.edges(), 2)
+    if rng.random() < 0.5:
+        c, d = d, c
+    if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
+        return g
+    edges = set(g.edges()) - {(a, b), (min(c, d), max(c, d))}
+    return Graph.from_edges(g.n, edges | {(a, d), (c, b)})
+
+
+class TestCanonicalKey:
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+    def test_classes_match_networkx(self, n, classes):
+        by_key = {}
+        for g in all_graphs(n):
+            by_key.setdefault(canonical_key(g), []).append(g)
+        assert len(by_key) == classes
+        reps = [to_networkx(members[0]) for members in by_key.values()]
+        for rep, members in zip(reps, by_key.values()):
+            assert all(nx.is_isomorphic(rep, to_networkx(g)) for g in members[1:])
+        for i, a in enumerate(reps):
+            assert not any(nx.is_isomorphic(a, b) for b in reps[i + 1:])
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_random_relabeling(self, n):
+        rng = random.Random(n)
+        for _ in range(100):
+            g = random_graph(n, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert is_isomorphic(g, relabeled(g, perm))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_same_degree_sequence_agrees_with_networkx(self, n):
+        rng = random.Random(100 + n)
+        seen = set()
+        for _ in range(60):
+            g = random_graph(n, rng)
+            if g.edge_count() < 2:
+                continue
+            h = g
+            for _ in range(rng.randrange(1, 4)):
+                h = degree_preserving_swap(h, rng)
+            expected = nx.is_isomorphic(to_networkx(g), to_networkx(h))
+            assert is_isomorphic(g, h) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_regular_graphs_refinement_cannot_split(self):
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert not is_isomorphic(cycle_graph(6), two_triangles)
+        two_squares = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                           (4, 5), (5, 6), (6, 7), (4, 7)])
+        assert not is_isomorphic(cycle_graph(8), two_squares)
+        assert is_isomorphic(cycle_graph(8), relabeled(cycle_graph(8), [3, 0, 6, 1, 4, 7, 2, 5]))
+
+    def test_twins(self):
+        g = complete_multipartite([3, 3, 2])
+        assert is_isomorphic(g, relabeled(g, [7, 2, 5, 0, 3, 6, 1, 4]))
+        assert not is_isomorphic(g, complete_multipartite([4, 2, 2]))
+        assert canonical_key(empty_graph(8)) != canonical_key(complete_graph(8))
+
+    def test_vertex_count_and_limit(self):
+        assert not is_isomorphic(empty_graph(3), empty_graph(4))
+        assert canonical_key(empty_graph(3)) != canonical_key(empty_graph(4))
+        with pytest.raises(ValueError):
+            is_isomorphic(cycle_graph(9), cycle_graph(9))

@@ -162,6 +162,14 @@ class TestWitnessContracts:
         assert (r1.value, r1.witness) == (r2.value, r2.witness)
 
 
+class TestAnswerChecks:
+    def test_failed_witness_check_raises_runtime_error(self, monkeypatch):
+        # the checks are explicit raises, so they also hold under python -O
+        monkeypatch.setattr("minranklab.minrank.represents", lambda m, g: False)
+        with pytest.raises(RuntimeError, match="does not represent"):
+            minrank_exact(cycle_graph(5), 2)
+
+
 class TestMonotonicity:
     def test_adding_edges_never_increases_minrank(self):
         rng = random.Random(31)

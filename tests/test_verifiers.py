@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from minranklab.budgets import BudgetExceededError
+from minranklab.graphio import graph_to_graph6
 from minranklab.graphs import (
     complete_graph,
     cycle_graph,
+    named_graph,
     path_graph,
     star_graph,
 )
@@ -124,11 +126,19 @@ class TestExhaustive:
         assert exhaustive_g(5, complete_graph(3), 2).value == 3
 
     def test_dedup_matches_raw(self):
-        raw = exhaustive_g(5, complete_graph(3), 2, dedup=False)
-        slim = exhaustive_g(5, complete_graph(3), 2, dedup=True)
-        assert raw.value == slim.value
-        assert slim.evaluated < raw.evaluated
-        assert raw.accepted == slim.accepted
+        for n in (3, 4, 5):
+            for pattern in ("K3", "P3", "star3"):
+                h = named_graph(pattern)
+                raw = exhaustive_g(n, h, 2, dedup=False)
+                slim = exhaustive_g(n, h, 2, dedup=True)
+                assert (raw.value, raw.witness) == (slim.value, slim.witness)
+                assert slim.evaluated < raw.evaluated
+                assert raw.accepted == slim.accepted
+
+    def test_triangle_case_at_six(self):
+        result = exhaustive_g(6, complete_graph(3), 2)
+        assert (result.value, result.accepted, result.evaluated) == (3, 5789, 38)
+        assert graph_to_graph6(result.witness) == "ELn?"
 
     def test_single_edge_pattern_leaves_only_complete_graph(self):
         result = exhaustive_g(3, path_graph(2), 2)
