@@ -417,7 +417,8 @@ def chromatic_number(g: Graph) -> int:
 def optimal_coloring(g: Graph) -> list[int]:
     """A proper coloring attaining the chromatic number."""
     coloring = _color_with(g, chromatic_number(g))
-    assert coloring is not None
+    if coloring is None:
+        raise RuntimeError("internal error: no coloring with the chromatic number of colors")
     return coloring
 
 

@@ -129,7 +129,8 @@ def find_constants(stats: HStats, field_size: int) -> LLLInstance:
             c4 = c2 / 4 - c3
             c1 = c4 / 32
             inst = LLLInstance(stats, field_size, c1, c2, c3, c4)
-            assert inst.constraints_ok()
+            if not inst.constraints_ok():
+                raise RuntimeError(f"internal error: constants {inst} violate the constraints")
             return inst
         j += 1
 
@@ -277,6 +278,8 @@ def find_threshold(
         else:
             lo = mid
     n0 = hi
-    assert check_lll_inequalities(inst, n0).holds
-    assert n0 <= 2 or not check_lll_inequalities(inst, n0 - 1).holds
+    if not check_lll_inequalities(inst, n0).holds:
+        raise RuntimeError(f"internal error: the bisected threshold n0={n0} fails")
+    if n0 > 2 and check_lll_inequalities(inst, n0 - 1).holds:
+        raise RuntimeError(f"internal error: the bisected threshold n0={n0} is not minimal")
     return replace(inst, n0=n0), grid

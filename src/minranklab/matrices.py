@@ -103,10 +103,13 @@ def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[lis
     return basis
 
 
+_INEXACT = "internal error: fraction-free elimination divided inexactly"
+
+
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix by fraction-free elimination.
 
-    Every interior division is asserted exact; a failed assertion means the
+    Every interior division is checked exact; a RuntimeError means the
     elimination bookkeeping is broken, not bad input.
     """
     work = [list(r) for r in rows]
@@ -128,12 +131,14 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
             if f:
                 for j in range(c + 1, ncols):
                     q, rem = divmod(row[j] * pv - f * prow[j], prev)
-                    assert rem == 0, "fraction-free elimination divided inexactly"
+                    if rem:
+                        raise RuntimeError(_INEXACT)
                     row[j] = q
             elif prev != 1 or pv != 1:
                 for j in range(c + 1, ncols):
                     q, rem = divmod(row[j] * pv, prev)
-                    assert rem == 0, "fraction-free elimination divided inexactly"
+                    if rem:
+                        raise RuntimeError(_INEXACT)
                     row[j] = q
             row[c] = 0
         prev = pv

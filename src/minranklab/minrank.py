@@ -4,13 +4,19 @@ The exact solver does iterative deepening on the target rank k: for each k it
 enumerates all k-dimensional row spaces over GF(p) through their canonical
 reduced-echelon bases. A row space W is feasible for vertex i when it has a
 vector supported inside i's allowed columns with a nonzero i-th coordinate,
-which reduces to one column-span membership test (two small ranks) per
-vertex. The first feasible space in canonical order supplies the witness.
+which reduces to one column-span membership test per vertex: column i of the
+basis lies outside the span of the columns i may not use. One kernel serves
+every field: each column is read as a vector code, a cached table maps the
+code to the bitmask of projective functionals that do not vanish on it, and
+the test is an OR and an AND-NOT of those masks, run in W or in W-perp,
+whichever has the smaller dimension. The first feasible space in canonical
+order supplies the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence, Union
 
@@ -27,8 +33,9 @@ from .graphs import (
     underlying_graph,
     union_graph,
 )
-from .matrices import FieldMatrix, Matrix, gf2_rank, is_prime, mod_nullspace, mod_rank
-from .parallel import map_chunks, split_list
+# gf2_rank is unused here; perfbench's test_tracer_counts_calls_where_they_are_looked_up reads it
+from .matrices import FieldMatrix, Matrix, gf2_rank, is_prime, mod_nullspace  # noqa: F401
+from .parallel import map_chunks, split_range
 
 GraphLike = Union[Graph, Digraph]
 
@@ -107,49 +114,70 @@ def _free_cells(n: int, pivots: Sequence[int]) -> list[tuple[int, int]]:
     ]
 
 
-def _scan_pivots_gf2(n: int, pivots: Sequence[int], zmasks, ibits, vorder):
-    """First feasible echelon basis (as int rows) for this pivot set, or None."""
-    cells = _free_cells(n, pivots)
-    base = [1 << c for c in pivots]
-    for fill_idx, assignment in enumerate(product((0, 1), repeat=len(cells))):
-        rows = base[:]
-        for (r, j), value in zip(cells, assignment):
-            if value:
-                rows[r] |= 1 << j
-        ok = True
-        for v in vorder:
-            zmask = zmasks[v]
-            rz = gf2_rank(row & zmask for row in rows)
-            rzi = gf2_rank(row & (zmask | ibits[v]) for row in rows)
-            if rzi != rz + 1:
-                ok = False
-                break
-        if ok:
-            return fill_idx, rows
-    return None
+@lru_cache(maxsize=None)
+def _nonzero_functionals(p: int, d: int) -> tuple[int, ...]:
+    """Per vector c of GF(p)^d, encoded as sum(c_r * p**r): the bitmask of the
+    projective points x (first nonzero coordinate 1) with x . c != 0."""
+    vectors = [[(code // p**r) % p for r in range(d)] for code in range(p**d)]
+    points = [x for x in vectors if next((a for a in x if a), 0) == 1]
+    return tuple(
+        sum(1 << i for i, x in enumerate(points) if sum(a * b for a, b in zip(x, c)) % p)
+        for c in vectors
+    )
 
 
-def _scan_pivots_modp(n: int, p: int, pivots: Sequence[int], vorder):
-    """Generic-field version of the pivot-set scan; rows are int lists."""
-    cells = _free_cells(n, pivots)
+def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
+    """First feasible echelon basis (as int-list rows) for this pivot set, or None.
+
+    tests[dual] lists (v, columns) in test order: the columns outside
+    allowed[v] for the test in W, v's out-neighbors for the test in W-perp.
+
+    Vertex v is feasible for W = rowspan(B) iff col_v(B) is not in the span of
+    the columns Z_v outside allowed[v], i.e. iff some functional vanishes on
+    Z_v but not on v: masks[v] & ~OR(masks[Z_v]) != 0, where masks[j] is the
+    set of projective functionals that do not vanish on column j.
+
+    The table of masks has p^d entries of (p^d - 1)/(p - 1) bits for columns
+    in GF(p)^d, so when 2k > n the same test runs in W-perp (d = n - k). With
+    S = W & {w_Z = 0}, S-perp = W-perp + span(e_z : z in Z_v), so v is
+    feasible iff e_v is not in it, iff no y in W-perp vanishes on the
+    out-neighbors N_v with y_v != 0: masks[v] & ~OR(masks[N_v]) == 0.
+    W-perp's basis reads straight off B: each non-pivot column j is the unit
+    vector of its own slot, and pivot column c_r holds -B[r][j] in slot j.
+    """
     k = len(pivots)
-    for fill_idx, assignment in enumerate(product(range(p), repeat=len(cells))):
-        rows = [[0] * n for _ in range(k)]
+    cells = _free_cells(n, pivots)
+    dual = 2 * k > n
+    base = [0] * n
+    if dual:
+        slot = {j: s for s, j in enumerate(j for j in range(n) if j not in pivots)}
+        for j, s in slot.items():
+            base[j] = p**s
+        deltas = [(pivots[r], [(-a % p) * p ** slot[j] for a in range(p)]) for r, j in cells]
+    else:
         for r, c in enumerate(pivots):
-            rows[r][c] = 1
-        for (r, j), value in zip(cells, assignment):
-            rows[r][j] = value
-        ok = True
-        for v, zlist in vorder:
-            sub = [[row[c] for c in zlist] for row in rows]
-            rz = mod_rank(sub, p)
-            subi = [s + [row[v]] for s, row in zip(sub, rows)]
-            rzi = mod_rank(subi, p)
-            if rzi != rz + 1:
-                ok = False
+            base[c] = p**r
+        deltas = [(j, [a * p**r for a in range(p)]) for r, j in cells]
+    table = _nonzero_functionals(p, n - k if dual else k)
+    vertex_tests = tests[dual]
+    for assignment in product(range(p), repeat=len(cells)):
+        codes = base[:]
+        for (j, delta), a in zip(deltas, assignment):
+            codes[j] += delta[a]
+        masks = [table[c] for c in codes]
+        for v, others in vertex_tests:
+            span = 0
+            for u in others:
+                span |= masks[u]
+            if bool(masks[v] & ~span) == dual:
                 break
-        if ok:
-            return fill_idx, rows
+        else:
+            rows = [[0] * n for _ in range(k)]
+            for r, c in enumerate(pivots):
+                rows[r][c] = 1
+            for (r, j), value in zip(cells, assignment):
+                rows[r][j] = value
+            return rows
     return None
 
 
@@ -158,22 +186,13 @@ def _scan_chunk(args):
     n, p, pivot_list, graph_adj, is_digraph = args
     g: GraphLike = Digraph(n, graph_adj) if is_digraph else Graph(n, graph_adj)
     allowed = _allowed_masks(g)
-    full = (1 << n) - 1
-    zmasks = [full & ~allowed[i] for i in range(n)]
     vorder = sorted(range(n), key=lambda v: allowed[v].bit_count())
-    if p == 2:
-        ibits = [1 << i for i in range(n)]
-        for pos, pivots in enumerate(pivot_list):
-            hit = _scan_pivots_gf2(n, pivots, zmasks, ibits, vorder)
-            if hit is not None:
-                return pos, hit[0], hit[1]
-    else:
-        zcols = [[j for j in range(n) if (zmasks[i] >> j) & 1] for i in range(n)]
-        order = [(v, zcols[v]) for v in vorder]
-        for pos, pivots in enumerate(pivot_list):
-            hit = _scan_pivots_modp(n, p, pivots, order)
-            if hit is not None:
-                return pos, hit[0], hit[1]
+    outside = [(v, [u for u in range(n) if not (allowed[v] >> u) & 1]) for v in vorder]
+    neighbors = [(v, [u for u in range(n) if u != v and (allowed[v] >> u) & 1]) for v in vorder]
+    for pivots in pivot_list:
+        rows = _scan_pivots(n, p, pivots, (outside, neighbors))
+        if rows is not None:
+            return rows
     return None
 
 
@@ -181,35 +200,20 @@ def _first_feasible(g: GraphLike, p: int, k: int, jobs: int):
     """First feasible k-dimensional row space in canonical enumeration order."""
     n = g.n
     pivot_sets = list(combinations(range(n), k))
+    if len(pivot_sets) < 2 * jobs:
+        jobs = 1
     is_digraph = isinstance(g, Digraph)
-    if jobs <= 1 or len(pivot_sets) < 2 * jobs:
-        hit = _scan_chunk((n, p, pivot_sets, g.adj, is_digraph))
-        return None if hit is None else hit[2]
-    chunks = split_list(pivot_sets, jobs)
-    offsets = []
-    total = 0
-    for chunk in chunks:
-        offsets.append(total)
-        total += len(chunk)
-    args = [(n, p, chunk, g.adj, is_digraph) for chunk in chunks]
-    results = map_chunks(_scan_chunk, args, jobs)
-    best = None
-    for offset, hit in zip(offsets, results):
-        if hit is None:
-            continue
-        key = (offset + hit[0], hit[1])
-        if best is None or key < best[0]:
-            best = (key, hit[2])
-    return None if best is None else best[1]
+    args = [
+        (n, p, pivot_sets[start:stop], g.adj, is_digraph)
+        for start, stop in split_range(len(pivot_sets), jobs)
+    ]
+    # chunks are contiguous and in order, so the first hit is the first overall
+    return next((rows for rows in map_chunks(_scan_chunk, args, jobs) if rows is not None), None)
 
 
-def _witness_from_space(g: GraphLike, p: int, basis) -> FieldMatrix:
-    """Build a representing matrix whose rows lie in the given row space."""
+def _witness_from_space(g: GraphLike, p: int, rows) -> FieldMatrix:
+    """Build a representing matrix whose rows lie in the row space of `rows`."""
     n = g.n
-    if p == 2 and basis and isinstance(basis[0], int):
-        rows = [[(b >> j) & 1 for j in range(n)] for b in basis]
-    else:
-        rows = [list(b) for b in basis]
     k = len(rows)
     allowed = _allowed_masks(g)
     out = []
@@ -221,7 +225,7 @@ def _witness_from_space(g: GraphLike, p: int, basis) -> FieldMatrix:
                 out.append([sum(x[r] * rows[r][j] for r in range(k)) % p for j in range(n)])
                 break
         else:
-            raise AssertionError("feasible space failed witness extraction")
+            raise RuntimeError("internal error: a feasible space failed witness extraction")
     return FieldMatrix.from_rows(p, out)
 
 
@@ -246,13 +250,20 @@ def solver_work_estimate(n: int, p: int, k_lo: int, k_hi: int) -> int:
     return sum(gaussian_binomial(n, k, p) for k in range(k_lo, k_hi)) * n * factor
 
 
-def _check_coloring_witness(g: GraphLike, value: int, witness: FieldMatrix, upper: int) -> None:
-    """Raise RuntimeError unless the coloring witness attains the upper bound
-    and represents g; these checks hold under `python -O` too."""
-    if value != upper:
+def _checked(
+    g: GraphLike, value: int, witness: FieldMatrix, lower: int, upper: int, coloring: bool
+) -> MinrankResult:
+    """The answer, once the witness represents g with rank `value` (and, for a
+    coloring witness, `value` is the upper bound). Failures raise RuntimeError,
+    so the checks hold under `python -O` too."""
+    if coloring and value != upper:
         raise RuntimeError(f"internal error: coloring value {value} != upper bound {upper}")
     if not represents(witness, g):
-        raise RuntimeError("internal error: the coloring witness does not represent the graph")
+        raise RuntimeError(f"internal error: the rank-{value} witness does not represent g")
+    rank = witness.rank()
+    if rank != value:
+        raise RuntimeError(f"internal error: the rank-{value} witness has rank {rank}")
+    return MinrankResult(value, witness, lower, upper)
 
 
 def minrank_exact(
@@ -273,25 +284,15 @@ def minrank_exact(
         return MinrankResult(0, FieldMatrix(p, ()), 0, 0)
     bounds = minrank_bounds(g)
     lower, upper = bounds.lower, bounds.upper
-    if lower == upper:
-        value, witness = _coloring_witness(g, p)
-        _check_coloring_witness(g, value, witness, upper)
-        return MinrankResult(value, witness, lower, upper)
-    check_budget(
-        solver_work_estimate(n, p, lower, upper),
-        work_budget,
-        f"minrank enumeration for n={n}, p={p}, k in [{lower},{upper})",
-    )
+    if lower < upper:
+        check_budget(
+            solver_work_estimate(n, p, lower, upper),
+            work_budget,
+            f"minrank enumeration for n={n}, p={p}, k in [{lower},{upper})",
+        )
     for k in range(lower, upper):
-        basis = _first_feasible(g, p, k, jobs)
-        if basis is not None:
-            witness = _witness_from_space(g, p, basis)
-            if not represents(witness, g):
-                raise RuntimeError(f"internal error: rank-{k} witness does not represent g")
-            rank = witness.rank()
-            if rank != k:
-                raise RuntimeError(f"internal error: rank-{k} witness has rank {rank}")
-            return MinrankResult(k, witness, lower, upper)
+        rows = _first_feasible(g, p, k, jobs)
+        if rows is not None:
+            return _checked(g, k, _witness_from_space(g, p, rows), lower, upper, coloring=False)
     value, witness = _coloring_witness(g, p)
-    _check_coloring_witness(g, value, witness, upper)
-    return MinrankResult(upper, witness, lower, upper)
+    return _checked(g, value, witness, lower, upper, coloring=True)

@@ -13,19 +13,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def split_list(items: Sequence[T], parts: int) -> list[list[T]]:
-    """Split into at most `parts` contiguous chunks of near-equal size."""
-    parts = max(1, min(parts, len(items)))
-    size, extra = divmod(len(items), parts)
-    chunks = []
-    start = 0
-    for i in range(parts):
-        stop = start + size + (1 if i < extra else 0)
-        chunks.append(list(items[start:stop]))
-        start = stop
-    return chunks
-
-
 def split_range(total: int, parts: int) -> list[tuple[int, int]]:
     """Partition range(total) into at most `parts` contiguous (start, stop) runs."""
     parts = max(1, min(parts, total)) if total else 1

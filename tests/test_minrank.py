@@ -14,6 +14,7 @@ from minranklab.graphs import (
 )
 from minranklab.matrices import FieldMatrix, RationalMatrix
 from minranklab.minrank import (
+    _nonzero_functionals,
     minrank_bounds,
     minrank_exact,
     represents,
@@ -26,6 +27,35 @@ from _oracles import oracle_minrank
 def all_graphs(n):
     for mask in range(1 << (n * (n - 1) // 2)):
         yield Graph.from_edge_mask(n, mask)
+
+
+def seeded_digraph(seed, n):
+    rng = random.Random(seed)
+    return Digraph.from_arcs(
+        n, [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.5]
+    )
+
+
+# (p, seed, n, value, lower, upper, witness) for seeded_digraph(seed, n); each
+# value is below the upper bound, so the enumeration supplies the witness. The
+# search for value k runs in W when 2k <= n and in W-perp otherwise: per field,
+# the first entry is found in W and the second in W-perp.
+PINNED_WITNESSES = [
+    (2, 8, 7, 3, 2, 4, [[1, 1, 0, 1, 0, 1, 1], [0, 1, 1, 0, 0, 0, 1], [0, 0, 1, 1, 1, 0, 0],
+                        [0, 0, 1, 1, 1, 0, 0], [1, 0, 0, 0, 1, 1, 0], [1, 0, 0, 0, 1, 1, 0],
+                        [0, 1, 1, 0, 0, 0, 1]]),
+    (2, 0, 7, 4, 3, 5, [[1, 0, 0, 1, 1, 0, 0], [0, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 0],
+                        [0, 0, 1, 1, 0, 0, 0], [1, 1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 0, 1, 1],
+                        [0, 1, 0, 0, 1, 1, 1]]),
+    (3, 1, 6, 3, 3, 4, [[2, 1, 0, 0, 2, 0], [2, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 1],
+                        [0, 1, 0, 1, 0, 0], [1, 0, 0, 1, 1, 0], [0, 0, 1, 0, 0, 1]]),
+    (3, 0, 6, 4, 2, 5, [[2, 0, 0, 1, 0, 0], [2, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 0],
+                        [2, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 0, 1]]),
+    (5, 111, 5, 2, 1, 3, [[1, 0, 1, 0, 1], [0, 1, 0, 1, 1], [1, 0, 1, 0, 1],
+                          [4, 1, 4, 1, 0], [0, 1, 0, 1, 1]]),
+    (5, 9, 5, 3, 2, 4, [[1, 0, 0, 1, 0], [4, 1, 0, 0, 1], [0, 0, 1, 0, 0],
+                        [0, 1, 0, 1, 1], [4, 1, 0, 0, 1]]),
+]
 
 
 class TestRepresents:
@@ -135,9 +165,51 @@ class TestSolverAgainstOracle:
             d = Digraph.from_arcs(4, arcs)
             assert minrank_exact(d, 2).value == oracle_minrank(d, 2)
 
+    @pytest.mark.parametrize("p, max_arcs", [(3, 5), (5, 5), (7, 4)])
+    def test_digraphs_against_oracle_odd_fields(self, p, max_arcs):
+        rng = random.Random(37 + p)
+        seen = 0
+        while seen < 15:
+            arcs = [
+                (i, j)
+                for i in range(4)
+                for j in range(4)
+                if i != j and rng.random() < 0.4
+            ]
+            if len(arcs) > max_arcs:
+                continue  # keep the oracle enumeration small
+            seen += 1
+            d = Digraph.from_arcs(4, arcs)
+            assert minrank_exact(d, p).value == oracle_minrank(d, p)
+
     def test_bidirected_matches_graph(self):
         for g in all_graphs(4):
             assert minrank_exact(bidirected(g), 2).value == minrank_exact(g, 2).value
+
+
+class TestKernel:
+    @pytest.mark.parametrize("p, d", [(2, 1), (2, 4), (3, 2), (3, 3), (5, 2), (7, 1)])
+    def test_functional_masks(self, p, d):
+        # p^(d-1) of the (p^d - 1)/(p - 1) projective points miss a nonzero c's kernel
+        table = _nonzero_functionals(p, d)
+        assert len(table) == p**d and table[0] == 0
+        assert all(mask.bit_count() == p ** (d - 1) for mask in table[1:])
+        assert max(table).bit_length() == (p**d - 1) // (p - 1)
+
+    @pytest.mark.parametrize("p, n_one, n_two", [(2, 11, 8), (3, 7, 6), (5, 6, 5)])
+    def test_acyclic_digraphs_have_full_minrank(self, p, n_one, n_two):
+        # the bounds leave k = n-1 (one arc) and k = n-2, n-1 (two disjoint
+        # arcs) to the enumeration, which runs them in W-perp
+        one = minrank_exact(Digraph.from_arcs(n_one, [(0, 1)]), p)
+        assert (one.lower, one.value) == (n_one - 1, n_one)
+        two = minrank_exact(Digraph.from_arcs(n_two, [(0, 1), (2, 3)]), p)
+        assert (two.lower, two.value) == (n_two - 2, n_two)
+
+    @pytest.mark.parametrize("p, seed, n, value, lower, upper, rows", PINNED_WITNESSES)
+    def test_pinned_witnesses(self, p, seed, n, value, lower, upper, rows):
+        r = minrank_exact(seeded_digraph(seed, n), p)
+        assert (r.value, r.lower, r.upper) == (value, lower, upper)
+        assert r.witness == FieldMatrix.from_rows(p, rows)
 
 
 class TestWitnessContracts:
@@ -155,10 +227,13 @@ class TestWitnessContracts:
         g = cycle_graph(5)
         assert minrank_exact(g, 2).witness == minrank_exact(g, 2).witness
 
-    def test_jobs_value_and_witness_identical(self):
-        g = Graph.from_edge_mask(6, 0b101010101010101)
-        r1 = minrank_exact(g, 2, jobs=1)
-        r2 = minrank_exact(g, 2, jobs=3)
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_jobs_value_and_witness_identical(self, p):
+        # k = 2, 3 fail in every chunk before k = 4 succeeds
+        g = seeded_digraph(0, 6)
+        r1 = minrank_exact(g, p, jobs=1)
+        r2 = minrank_exact(g, p, jobs=3)
+        assert r1.lower < r1.value < r1.upper
         assert (r1.value, r1.witness) == (r2.value, r2.witness)
 
 
@@ -167,6 +242,12 @@ class TestAnswerChecks:
         # the checks are explicit raises, so they also hold under python -O
         monkeypatch.setattr("minranklab.minrank.represents", lambda m, g: False)
         with pytest.raises(RuntimeError, match="does not represent"):
+            minrank_exact(cycle_graph(5), 2)
+
+    def test_wrong_witness_rank_raises_runtime_error(self, monkeypatch):
+        # C5 is answered by its coloring witness, which is rank-checked too
+        monkeypatch.setattr(FieldMatrix, "rank", lambda self: 0)
+        with pytest.raises(RuntimeError, match="has rank 0"):
             minrank_exact(cycle_graph(5), 2)
 
 
