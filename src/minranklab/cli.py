@@ -1,9 +1,10 @@
 """Single command-line entry point for solvers, constructions, and sweeps.
 
 Exit codes: 0 success, 1 domain/usage error, 2 budget refusal, 3 a
-verification sweep found violations. Single results are one JSON document;
-sweep-style commands emit JSON lines (manifest first). Identical invocations
-produce byte-identical payloads up to the manifest timestamps.
+verification sweep found violations, 4 an internal check failed. Single
+results are one JSON document; sweep-style commands emit JSON lines
+(manifest first). Identical invocations produce byte-identical payloads up
+to the manifest timestamps.
 """
 
 from __future__ import annotations
@@ -177,6 +178,7 @@ def _run_kneser_build(args):
         result["checks"]["rank"] = {
             "value": witness.rank,
             "bound": witness.rank_bound,
+            "tight_bound": witness.tight_bound,
             "ok": witness.rank <= witness.rank_bound,
         }
     if args.check_odd_girth is not None:
@@ -480,6 +482,10 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # a failed internal check, never bad input
+        message = str(exc).removeprefix("internal error: ")
+        print(f"internal error: {message}", file=sys.stderr)
+        return 4
     outputs = [
         path
         for path in (

@@ -414,11 +414,12 @@ def chromatic_number(g: Graph) -> int:
     return upper
 
 
-def optimal_coloring(g: Graph) -> list[int]:
-    """A proper coloring attaining the chromatic number."""
-    coloring = _color_with(g, chromatic_number(g))
+def optimal_coloring(g: Graph, chromatic: int) -> list[int]:
+    """A proper coloring with `chromatic` colors, the chromatic number of g,
+    which the caller already knows (so it is not computed again)."""
+    coloring = _color_with(g, chromatic)
     if coloring is None:
-        raise RuntimeError("internal error: no coloring with the chromatic number of colors")
+        raise RuntimeError(f"internal error: no coloring with {chromatic} colors")
     return coloring
 
 

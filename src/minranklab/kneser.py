@@ -1,11 +1,27 @@
-"""Generalized Kneser graphs and their explicit low-rank rational representations.
+"""Generalized Kneser graphs and their explicit low-rank integer representations.
 
 K(d, s, m) has the s-subsets of {0..d-1} as vertices, adjacent when the
-intersection has fewer than m elements. The representing matrix evaluates
-the integer polynomial prod_{j=m}^{s-1} (t - j) at the pairwise intersection
-sizes; its low-rank factorization comes from the multilinear expansion of
-that product, whose monomial coefficients depend only on the monomial degree
-and are the finite differences of the polynomial at 0.
+intersection has fewer than m elements. The representing matrix M holds the
+integer polynomial P(t) = prod_{j=m}^{s-1} (t - j) at the pairwise
+intersection sizes, as Python ints. Two factorizations bound its rank:
+
+- M = L R^T over the subsets U with |U| <= s-m, with L[A][U] = [U ⊆ A] and
+  R[B][U] = c_{|U|} [U ⊆ B]. The c_u are the coefficients of the
+  multilinear expansion of the product, which depend only on the monomial
+  degree and are the finite differences of P at 0. Its width is rank_bound.
+- L * M = W Y through the inclusion matrix W[A][T] = [T ⊆ A] of the
+  (s-m)-subsets T, with Y[T][B] = y(|T ∩ B|) and an integer scale L. Its
+  width C(d, s-m) is tight_bound. Inclusion matrices have full rank over Q
+  (Gottlieb 1966), so M has exactly that rank whenever Y has; the tests
+  find it so for m >= 2 at s = d/2, but not for m = 1.
+
+Each product is checked against M over all N^2 pairs with bitsets: row a of
+the 0/1 left factor is a bitset L_a, row b of the right factor splits into
+bitsets R_b^v of the columns holding v, and the entry is
+sum_v v * popcount(L_a & R_b^v). The exact rank is certified from both
+sides: the rank mod a prime is a lower bound (reduction mod p cannot raise
+the rank of an integer matrix) and tight_bound an upper bound. When the two
+meet, that is the rank; otherwise fraction-free elimination computes it.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ from typing import Optional
 
 from .budgets import DEFAULT_VERTEX_BUDGET, check_budget
 from .graphs import Graph, induced_subgraph, min_odd_cycle_at_most
-from .matrices import RationalMatrix
+from .matrices import RationalMatrix, mod_rank
 
 
 @dataclass(frozen=True)
@@ -93,10 +109,14 @@ def pattern_polynomial_coefficients(s: int, m: int) -> list[int]:
 
 @dataclass(frozen=True)
 class KneserWitness:
-    """Representation matrix with its rank certificate for K(d,s,m).
+    """Representation matrix of K(d,s,m) with its verified rank certificates.
 
-    matrix equals factor_left @ factor_right^T exactly, so its rank is at
-    most the common column count rank_bound.
+    matrix holds the integer entries P(|A ∩ B|). It equals
+    factor_left @ factor_right^T exactly (checked over all pairs), so its
+    rank is at most their common column count rank_bound. With the rank
+    checked, a second verified factorization through the inclusion matrix
+    of (s-m)-subsets gives tight_bound = C(d, s-m) >= rank, and rank is the
+    certified exact rank over the rationals; both are None otherwise.
     """
 
     params: KneserParams
@@ -107,10 +127,15 @@ class KneserWitness:
     coefficients: tuple[int, ...]
     rank_bound: int
     rank: Optional[int] = None
+    tight_bound: Optional[int] = None
 
 
 class WitnessVerificationError(RuntimeError):
     """An internal consistency check failed while building a witness."""
+
+
+# The lower side of the rank certificate: rank mod p <= rank over Q.
+CERTIFICATE_PRIME = 2**31 - 1
 
 
 def representation_matrix(
@@ -121,8 +146,10 @@ def representation_matrix(
     """Build and verify the representing matrix and its factorization.
 
     Structural invariants (diagonal value, zero pattern matching the graph,
-    factorization identity) are always verified; the exact rank computation
-    is optional because it dominates the cost at larger parameters.
+    factorization identity) are always verified. With check_rank, the tight
+    factorization is built and verified too, and the exact rank is certified:
+    by the rank mod CERTIFICATE_PRIME when it reaches tight_bound, otherwise
+    by fraction-free elimination.
     """
     d, s, m = params.d, params.s, params.m
     check_budget(
@@ -131,34 +158,30 @@ def representation_matrix(
         f"materializing K({params.d},{params.s},{params.m})",
     )
     masks = subset_masks(d, s)
-    n = len(masks)
     coeffs = pattern_polynomial_coefficients(s, m)
     poly = [intersection_polynomial(s, m, t) for t in range(s + 1)]
     entries = tuple(
         tuple(poly[(ma & mb).bit_count()] for mb in masks) for ma in masks
     )
-    matrix = RationalMatrix.from_rows(entries)
 
     # factor columns: subsets of {0..d-1} of size <= s-m, ordered by (size, lex)
-    columns = []
-    for size in range(s - m + 1):
-        columns.extend(subset_masks(d, size))
-    left_rows = []
-    right_rows = []
-    for ma in masks:
-        left_rows.append([1 if col & ~ma == 0 else 0 for col in columns])
-        right_rows.append(
-            [coeffs[col.bit_count()] if col & ~ma == 0 else 0 for col in columns]
-        )
-    factor_left = RationalMatrix.from_rows(left_rows)
-    factor_right = RationalMatrix.from_rows(right_rows)
+    columns = [col for size in range(s - m + 1) for col in subset_masks(d, size)]
+    left_rows = tuple(
+        tuple(0 if col & ~ma else 1 for col in columns) for ma in masks
+    )
+    right_rows = tuple(
+        tuple(0 if col & ~ma else coeffs[col.bit_count()] for col in columns)
+        for ma in masks
+    )
 
     _verify_structure(params, masks, entries, poly)
-    _verify_factorization(entries, left_rows, right_rows)
+    _verify_product(entries, left_rows, right_rows, 1, "factorization")
 
-    rank = None
+    matrix = RationalMatrix(entries)
+    rank = tight_bound = None
     if check_rank:
-        rank = matrix.rank()
+        tight_bound = _verify_tight_factorization(params, masks, entries, coeffs)
+        rank = _certified_rank(matrix, tight_bound)
         if rank > params.rank_bound:
             raise WitnessVerificationError(
                 f"rank {rank} exceeds the certificate bound {params.rank_bound}"
@@ -167,50 +190,109 @@ def representation_matrix(
         params=params,
         vertices=tuple(masks),
         matrix=matrix,
-        factor_left=factor_left,
-        factor_right=factor_right,
+        factor_left=RationalMatrix(left_rows),
+        factor_right=RationalMatrix(right_rows),
         coefficients=tuple(coeffs),
         rank_bound=params.rank_bound,
         rank=rank,
+        tight_bound=tight_bound,
     )
 
 
 def _verify_structure(params, masks, entries, poly) -> None:
+    """Diagonal (s-m)! and, over all ordered pairs, zero exactly off the edges."""
     s, m = params.s, params.m
     diag = math.factorial(s - m)
     if poly[s] != diag:
         raise WitnessVerificationError("diagonal value is not (s-m)!")
     for a, ma in enumerate(masks):
-        if entries[a][a] != diag:
+        row = entries[a]
+        if row[a] != diag:
             raise WitnessVerificationError(f"bad diagonal at {a}")
-        for b in range(a + 1, len(masks)):
+        zeros = [x == 0 for x in row]
+        non_edges = [(ma & mb).bit_count() >= m for mb in masks]
+        non_edges[a] = False
+        if zeros != non_edges:
+            b = next(b for b in range(len(masks)) if zeros[b] != non_edges[b])
             inter = (ma & masks[b]).bit_count()
-            adjacent = inter < m
-            if (entries[a][b] == 0) != (not adjacent):
-                raise WitnessVerificationError(
-                    f"zero pattern mismatch at pair ({a},{b}), intersection {inter}"
-                )
+            raise WitnessVerificationError(
+                f"zero pattern mismatch at pair ({a},{b}), intersection {inter}"
+            )
 
 
-def _verify_factorization(entries, left_rows, right_rows) -> None:
-    """Check matrix == left @ right^T by sparse dot products over nonzeros."""
-    left_sparse = [
-        {j: x for j, x in enumerate(row) if x} for row in left_rows
+def _verify_product(entries, left_rows, right_rows, scale: int, what: str) -> None:
+    """Check scale * entries == left @ right^T over all pairs, left being 0/1.
+
+    Row a of left is the bitset L_a; row b of right splits into the bitsets
+    R_b^v of its columns holding v, so the (a, b) entry of the product is
+    sum_v v * popcount(L_a & R_b^v).
+    """
+    width = len(entries[0]) if entries else 0
+    if len(left_rows) != len(entries) or len(right_rows) != width:
+        raise WitnessVerificationError(f"{what}: factor shapes do not fit the matrix")
+    left_bits = []
+    for a, row in enumerate(left_rows):
+        if not all(x == 0 or x == 1 for x in row):
+            raise WitnessVerificationError(f"{what}: left factor row {a} is not 0/1")
+        left_bits.append(sum(1 << j for j, x in enumerate(row) if x))
+    for b, (row, column) in enumerate(zip(right_rows, zip(*entries))):
+        by_value: dict = {}
+        for j, x in enumerate(row):
+            if x:
+                by_value[x] = by_value.get(x, 0) | 1 << j
+        product = [0] * len(left_bits)
+        for v, bits in by_value.items():
+            product = [
+                acc + v * (la & bits).bit_count()
+                for acc, la in zip(product, left_bits)
+            ]
+        expected = [scale * x for x in column]
+        if product != expected:
+            a = next(a for a, x in enumerate(expected) if product[a] != x)
+            raise WitnessVerificationError(f"{what} mismatch at pair ({a},{b})")
+
+
+def _tight_weights(s: int, m: int, coeffs: list[int]) -> tuple[int, list[int]]:
+    """Scale L and weights y(0..s-m) with L * P(|A ∩ B|) = sum y(|T ∩ B|)
+    over the (s-m)-subsets T of A, for every s-subset A.
+
+    For |A| = s and |U| = u <= r = s-m, [U ⊆ A] * C(s-u, r-u) counts the
+    r-sets T with U ⊆ T ⊆ A; substituting this into the multilinear
+    expansion gives y(j) = sum_u c_u C(j, u) L / C(s-u, r-u).
+    """
+    r = s - m
+    sizes = [math.comb(s - u, r - u) for u in range(r + 1)]
+    scale = math.lcm(*sizes)
+    weights = [
+        sum(coeffs[u] * math.comb(j, u) * (scale // sizes[u]) for u in range(j + 1))
+        for j in range(r + 1)
     ]
-    right_sparse = [
-        {j: x for j, x in enumerate(row) if x} for row in right_rows
-    ]
-    for a, arow in enumerate(left_sparse):
-        for b, brow in enumerate(right_sparse):
-            if len(arow) > len(brow):
-                small, other = brow, arow
-            else:
-                small, other = arow, brow
-            dot = sum(x * other[j] for j, x in small.items() if j in other)
-            if dot != entries[a][b]:
-                raise WitnessVerificationError(
-                    f"factorization mismatch at pair ({a},{b})"
-                )
+    return scale, weights
+
+
+def _verify_tight_factorization(params, masks, entries, coeffs) -> int:
+    """Verify L * matrix == W Y through the inclusion matrix W_{s-m,s};
+    returns its width C(d, s-m), an upper bound on the rank."""
+    scale, weights = _tight_weights(params.s, params.m, coeffs)
+    tsets = subset_masks(params.d, params.s - params.m)
+    inclusion = [[0 if t & ~ma else 1 for t in tsets] for ma in masks]
+    y_columns = [[weights[(t & mb).bit_count()] for t in tsets] for mb in masks]
+    _verify_product(entries, inclusion, y_columns, scale, "tight factorization")
+    return len(tsets)
+
+
+def _certified_rank(matrix: RationalMatrix, tight_bound: int) -> int:
+    """Exact rank, squeezed between the rank mod CERTIFICATE_PRIME (a lower
+    bound) and tight_bound; fraction-free elimination when they differ."""
+    lower = mod_rank(matrix.entries, CERTIFICATE_PRIME)
+    if lower == tight_bound:
+        return lower
+    rank = matrix.rank()
+    if not lower <= rank <= tight_bound:
+        raise WitnessVerificationError(
+            f"rank {rank} lies outside [{lower}, {tight_bound}] (rank mod p, tight bound)"
+        )
+    return rank
 
 
 class OddCycleViolation(RuntimeError):

@@ -202,9 +202,14 @@ class FieldMatrix:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of exact rationals (Fraction keeps lowest terms)."""
+    """Dense matrix of exact rationals, entries as int or Fraction.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    from_rows converts every entry to a Fraction (lowest terms); an integer
+    matrix can hold its ints directly, which rank, transpose, matmul and the
+    text format all accept.
+    """
+
+    entries: tuple[tuple[Union[int, Fraction], ...], ...]
 
     def __post_init__(self) -> None:
         width = len(self.entries[0]) if self.entries else 0

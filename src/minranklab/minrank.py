@@ -229,13 +229,18 @@ def _witness_from_space(g: GraphLike, p: int, rows) -> FieldMatrix:
     return FieldMatrix.from_rows(p, out)
 
 
-def _coloring_witness(g: GraphLike, p: int) -> tuple[int, FieldMatrix]:
-    """Clique-cover witness: all-ones blocks over the color classes."""
+def _coloring_witness(g: GraphLike, p: int, upper: int) -> tuple[int, FieldMatrix]:
+    """Clique-cover witness: all-ones blocks over the color classes.
+
+    Reached only when no rank below `upper` works, so the cover graph's
+    chromatic number is exactly `upper` (a coloring with fewer colors would
+    be a lower-rank witness) and is not recomputed.
+    """
     if isinstance(g, Digraph):
         cover_graph = complement(underlying_graph(g))
     else:
         cover_graph = complement(g)
-    colors = optimal_coloring(cover_graph)
+    colors = optimal_coloring(cover_graph, upper)
     value = max(colors) + 1 if colors else 0
     rows = [
         [1 if colors[i] == colors[j] else 0 for j in range(g.n)]
@@ -294,5 +299,5 @@ def minrank_exact(
         rows = _first_feasible(g, p, k, jobs)
         if rows is not None:
             return _checked(g, k, _witness_from_space(g, p, rows), lower, upper, coloring=False)
-    value, witness = _coloring_witness(g, p)
+    value, witness = _coloring_witness(g, p, upper)
     return _checked(g, value, witness, lower, upper, coloring=True)

@@ -2,11 +2,40 @@ import json
 
 import pytest
 
+from minranklab import kneser
 from minranklab.cli import main
 from minranklab.graphio import write_graph6
 from minranklab.graphs import cycle_graph
+from minranklab.kneser import pattern_polynomial_coefficients
+from minranklab.matrices import FieldMatrix
 
 TIMESTAMP_KEYS = {"started_at", "finished_at", "wall_time_s"}
+
+# `kneser build --d 6 --s 3 --m 1 --emit-matrix`: P(t) = (t-1)(t-2) is 2 on the
+# diagonal (t = 3) and between complementary sets (t = 0), 0 elsewhere
+K631_MATRIX_TEXT = """\
+20 20 0
+2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2
+0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2 0
+0 0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2 0 0
+0 0 0 2 0 0 0 0 0 0 0 0 0 0 0 0 2 0 0 0
+0 0 0 0 2 0 0 0 0 0 0 0 0 0 0 2 0 0 0 0
+0 0 0 0 0 2 0 0 0 0 0 0 0 0 2 0 0 0 0 0
+0 0 0 0 0 0 2 0 0 0 0 0 0 2 0 0 0 0 0 0
+0 0 0 0 0 0 0 2 0 0 0 0 2 0 0 0 0 0 0 0
+0 0 0 0 0 0 0 0 2 0 0 2 0 0 0 0 0 0 0 0
+0 0 0 0 0 0 0 0 0 2 2 0 0 0 0 0 0 0 0 0
+0 0 0 0 0 0 0 0 0 2 2 0 0 0 0 0 0 0 0 0
+0 0 0 0 0 0 0 0 2 0 0 2 0 0 0 0 0 0 0 0
+0 0 0 0 0 0 0 2 0 0 0 0 2 0 0 0 0 0 0 0
+0 0 0 0 0 0 2 0 0 0 0 0 0 2 0 0 0 0 0 0
+0 0 0 0 0 2 0 0 0 0 0 0 0 0 2 0 0 0 0 0
+0 0 0 0 2 0 0 0 0 0 0 0 0 0 0 2 0 0 0 0
+0 0 0 2 0 0 0 0 0 0 0 0 0 0 0 0 2 0 0 0
+0 0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2 0 0
+0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2 0
+2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2
+"""
 
 
 def scrub(obj):
@@ -87,6 +116,14 @@ class TestMinrankCommand:
         )
         assert code == 1
 
+    def test_internal_failure_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(FieldMatrix, "rank", lambda self: 0)
+        code = main(["minrank", "exact", "--field", "2", "--graph", "C5"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "internal error: the rank-3 witness has rank 0\n"
+
 
 class TestKneserCommand:
     def test_build_with_checks(self, capsys, tmp_path):
@@ -109,6 +146,45 @@ class TestKneserCommand:
         assert result["checks"]["odd_girth"]["hypothesis_holds"]
         emitted = matrix_path.read_text()
         assert emitted.splitlines()[0] == "20 20 0"
+
+    def test_build_payload_and_matrix_pinned(self, capsys, tmp_path):
+        # integer entries print as the Fraction entries did, so payload and
+        # matrix text stay byte-identical; only checks.rank.tight_bound is new
+        matrix_path = tmp_path / "k631.txt"
+        code, out = run_cli(
+            [
+                "kneser", "build", "--d", "6", "--s", "3", "--m", "1",
+                "--check-rank", "--emit-matrix", str(matrix_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "checks": {
+                "rank": {"bound": 22, "ok": True, "tight_bound": 15, "value": 10},
+                "structure": True,
+            },
+            "coefficients": [2, -2, 2],
+            "d": 6,
+            "diagonal": 2,
+            "edge_count": 10,
+            "m": 1,
+            "rank_bound": 22,
+            "s": 3,
+            "vertex_count": 20,
+        }
+        assert matrix_path.read_text() == K631_MATRIX_TEXT
+
+    def test_witness_failure_exit_4(self, capsys, monkeypatch):
+        def corrupt(s, m):
+            return [c + 1 for c in pattern_polynomial_coefficients(s, m)]
+
+        monkeypatch.setattr(kneser, "pattern_polynomial_coefficients", corrupt)
+        code = main(["kneser", "build", "--d", "4", "--s", "2", "--m", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "internal error: factorization mismatch at pair (0,0)\n"
 
     def test_plan(self, capsys):
         code, out = run_cli(["kneser", "plan", "--ell", "3", "--n", "20"], capsys)

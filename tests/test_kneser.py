@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minranklab import kneser, matrices
 from minranklab.budgets import BudgetExceededError
 from minranklab.graphs import (
     complete_graph,
@@ -12,6 +15,7 @@ from minranklab.graphs import (
 )
 from minranklab.kneser import (
     KneserParams,
+    WitnessVerificationError,
     binary_entropy,
     construction_subgraph,
     entropy_delta_limit,
@@ -25,7 +29,7 @@ from minranklab.kneser import (
 )
 from minranklab.minrank import represents
 
-from _oracles import oracle_multilinear_coefficients
+from _oracles import oracle_fraction_rank, oracle_multilinear_coefficients
 
 
 class TestParams:
@@ -168,6 +172,96 @@ class TestRepresentation:
             for s in range(0, d + 1):
                 for m in range(0, s + 1):
                     representation_matrix(KneserParams(d, s, m))
+
+
+class TestRankCertificate:
+    def test_certified_rank_matches_fraction_oracle(self):
+        for d in range(0, 9):
+            for s in range(0, d + 1):
+                for m in range(0, s + 1):
+                    w = representation_matrix(KneserParams(d, s, m), check_rank=True)
+                    entries = [list(row) for row in w.matrix.entries]
+                    assert w.rank == oracle_fraction_rank(entries), (d, s, m)
+                    assert w.tight_bound == math.comb(d, s - m)
+                    assert w.rank <= w.tight_bound <= w.rank_bound
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda s: st.tuples(st.just(s), st.integers(2, s))))
+    def test_tight_bound_is_the_rank_at_half_size(self, sm):
+        s, m = sm
+        w = representation_matrix(KneserParams(2 * s, s, m), check_rank=True)
+        assert w.rank == w.tight_bound == math.comb(2 * s, s - m)
+
+    def test_elimination_runs_only_when_the_bounds_differ(self, monkeypatch):
+        calls = []
+        bareiss = matrices.bareiss_rank
+
+        def counted(rows):
+            calls.append(len(rows))
+            return bareiss(rows)
+
+        monkeypatch.setattr(matrices, "bareiss_rank", counted)
+        w = representation_matrix(KneserParams(10, 5, 2), check_rank=True)
+        assert (w.rank, w.tight_bound, calls) == (120, 120, [])
+        w = representation_matrix(KneserParams(10, 5, 1), check_rank=True)
+        assert (w.rank, w.tight_bound, calls) == (126, 210, [252])
+
+    def test_no_rank_without_check(self):
+        w = representation_matrix(KneserParams(6, 3, 2))
+        assert w.rank is None and w.tight_bound is None
+
+    def test_integer_entries(self):
+        w = representation_matrix(KneserParams(6, 3, 1))
+        for mat in (w.matrix, w.factor_left, w.factor_right):
+            assert all(type(x) is int for row in mat.entries for x in row)
+
+
+class TestWitnessChecks:
+    def test_corrupt_coefficient_fails_the_factorization(self, monkeypatch):
+        def corrupt(s, m):
+            coeffs = pattern_polynomial_coefficients(s, m)
+            coeffs[-1] += 1
+            return coeffs
+
+        monkeypatch.setattr(kneser, "pattern_polynomial_coefficients", corrupt)
+        with pytest.raises(WitnessVerificationError, match="^factorization mismatch"):
+            representation_matrix(KneserParams(6, 3, 1))
+
+    def test_corrupt_tight_factor_fails(self, monkeypatch):
+        weights = kneser._tight_weights
+
+        def corrupt(s, m, coeffs):
+            scale, y = weights(s, m, coeffs)
+            y[0] += 1
+            return scale, y
+
+        monkeypatch.setattr(kneser, "_tight_weights", corrupt)
+        representation_matrix(KneserParams(6, 3, 2))  # built only with the rank
+        with pytest.raises(WitnessVerificationError, match="^tight factorization mismatch"):
+            representation_matrix(KneserParams(6, 3, 2), check_rank=True)
+
+    def test_wrong_zero_pattern_fails(self, monkeypatch):
+        # P(0) = 2 for K(6,3,1); a zero there drops every edge
+        def corrupt(s, m, t):
+            return 0 if t == 0 else intersection_polynomial(s, m, t)
+
+        monkeypatch.setattr(kneser, "intersection_polynomial", corrupt)
+        with pytest.raises(WitnessVerificationError, match="zero pattern mismatch"):
+            representation_matrix(KneserParams(6, 3, 1))
+
+    def test_left_factor_must_be_zero_one(self):
+        entries = ((2,),)
+        kneser._verify_product(entries, ((1,),), ((2,),), 1, "product")
+        with pytest.raises(WitnessVerificationError, match="not 0/1"):
+            kneser._verify_product(entries, ((2,),), ((1,),), 1, "product")
+        with pytest.raises(WitnessVerificationError, match="shapes"):
+            kneser._verify_product(entries, ((1,),), (), 1, "product")
+
+    def test_rank_outside_the_certificate_fails(self, monkeypatch):
+        # K(6,3,1) has rank 10 < tight_bound 15; a lower bound of 11 is a lie
+        monkeypatch.setattr(kneser, "mod_rank", lambda rows, p: 11)
+        with pytest.raises(WitnessVerificationError, match="outside"):
+            representation_matrix(KneserParams(6, 3, 1), check_rank=True)
 
 
 class TestOddGirth:

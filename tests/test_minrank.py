@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from minranklab import graphs, minrank
 from minranklab.budgets import BudgetExceededError
 from minranklab.graphs import (
     Digraph,
@@ -249,6 +250,22 @@ class TestAnswerChecks:
         monkeypatch.setattr(FieldMatrix, "rank", lambda self: 0)
         with pytest.raises(RuntimeError, match="has rank 0"):
             minrank_exact(cycle_graph(5), 2)
+
+
+class TestColoringPath:
+    def test_chromatic_number_computed_once(self, monkeypatch):
+        # C5 is answered by its coloring witness: chi(complement) = upper = 3
+        calls = []
+        chromatic = graphs.chromatic_number
+
+        def counted(g):
+            calls.append(g.n)
+            return chromatic(g)
+
+        monkeypatch.setattr(graphs, "chromatic_number", counted)
+        monkeypatch.setattr(minrank, "chromatic_number", counted)
+        result = minrank_exact(cycle_graph(5), 2)
+        assert (result.value, result.upper, calls) == (3, 3, [5])
 
 
 class TestMonotonicity:
