@@ -162,16 +162,20 @@ def _run_kneser_build(args):
     witness = representation_matrix(
         params, check_rank=args.check_rank, vertex_budget=args.vertex_budget
     )
-    graph = kneser_graph(params, vertex_budget=args.vertex_budget)
+    # the witness's zero pattern has been checked against the adjacency, so
+    # its off-diagonal nonzeros are the edges, each counted twice
+    entries = witness.matrix.entries
+    vertex_count = len(witness.vertices)
+    nonzeros = sum(len(row) - row.count(0) for row in entries)
     result = {
         "d": args.d,
         "s": args.s,
         "m": args.m,
-        "vertex_count": graph.n,
-        "edge_count": graph.edge_count(),
+        "vertex_count": vertex_count,
+        "edge_count": (nonzeros - vertex_count) // 2,
         "rank_bound": witness.rank_bound,
         "coefficients": list(witness.coefficients),
-        "diagonal": int(witness.matrix.entries[0][0]) if graph.n else None,
+        "diagonal": int(entries[0][0]) if vertex_count else None,
         "checks": {"structure": True},
     }
     if args.check_rank:
@@ -183,6 +187,7 @@ def _run_kneser_build(args):
         }
     if args.check_odd_girth is not None:
         ell = args.check_odd_girth
+        graph = kneser_graph(params, vertex_budget=args.vertex_budget)
         found = min_odd_cycle_at_most(graph, ell)
         entry = {"ell": ell, "cycle_found": found, "ok": found is None}
         if args.d % 2 == 0 and args.s * 2 == args.d:

@@ -3,7 +3,8 @@
 Rank over GF(p) uses modular Gaussian elimination; rank over the rationals
 uses fraction-free (Bareiss) elimination on integer-scaled rows, so no
 floating point is ever involved. Sparse-basis search enumerates column
-subsets in lexicographic order with weight pruning.
+subsets in lexicographic order with weight pruning, carrying the echelon
+basis of the chosen columns down the search.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 def is_prime(p: int) -> bool:
@@ -284,31 +285,53 @@ def min_column_basis_weight(m: FieldMatrix) -> int:
 
 def _min_basis_weight(cols: Sequence[Sequence[int]], k: int, p: int) -> int:
     """Minimum total nonzeros over k independent vectors among cols, where k
-    is the rank of cols over GF(p)."""
+    is the rank of cols over GF(p).
+
+    The search carries the echelon basis of the chosen vectors down the
+    recursion: a vector extends the choice iff its residue against the
+    chosen pivots is nonzero.
+    """
     if k == 0:
         return 0
     weights = [sum(1 for x in col if x) for col in cols]
     ncols = len(cols)
     best: list[int] = [sum(sorted(weights, reverse=True)[:k]) ]  # trivial upper bound
 
-    def extend(start: int, chosen: list[int], weight: int) -> None:
-        if weight >= best[0] and len(chosen) < k:
+    def extend(start: int, basis: list, weight: int) -> None:
+        if weight >= best[0] and len(basis) < k:
             return
-        if len(chosen) == k:
+        if len(basis) == k:
             if weight < best[0]:
                 best[0] = weight
             return
-        for idx in range(start, ncols - (k - len(chosen)) + 1):
+        for idx in range(start, ncols - (k - len(basis)) + 1):
             w = weight + weights[idx]
             if w > best[0]:
                 continue
-            candidate = chosen + [idx]
-            sub = [cols[i] for i in candidate]
-            if mod_rank(sub, p) == len(candidate):
-                extend(idx + 1, candidate, w)
+            pivot_row = _echelon_residue(cols[idx], basis, p)
+            if pivot_row is not None:
+                extend(idx + 1, basis + [pivot_row], w)
 
     extend(0, [], 0)
     return best[0]
+
+
+def _echelon_residue(
+    vector: Sequence[int], basis: list, p: int
+) -> Optional[tuple[int, list[int]]]:
+    """Reduce vector against basis, a list of (pivot, row) with row[pivot] == 1
+    and every row zero at the earlier rows' pivots. Returns the residue as a
+    new (pivot, row) in the same form, or None if vector lies in the span."""
+    v = list(vector)
+    for pivot, row in basis:
+        f = v[pivot]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    for pivot, x in enumerate(v):
+        if x:
+            inv = pow(x, p - 2, p)
+            return pivot, [(y * inv) % p for y in v]
+    return None
 
 
 def min_row_basis_weight(m: FieldMatrix) -> int:

@@ -2,7 +2,10 @@
 
 Each sweep enumerates raw matrices or graphs (no symmetry reduction inside
 the counted enumerations, so counts stay exact), records every violation it
-finds, and reports reproducible parameters. Sweeps partition their index
+finds, and reports reproducible parameters. The matrix census still visits
+and counts matrix by matrix; within one call it memoizes only the (rank,
+min basis weight) of each multiset of row or column vectors, which does not
+depend on the order of the vectors. Sweeps partition their index
 space across workers; violation lists are order-normalized so the output is
 schedule-independent.
 """
@@ -35,6 +38,8 @@ from .matrices import (
     FieldMatrix,
     _column_vectors,
     _min_basis_weight,
+    is_prime,
+    mod_rank,
     sparsity,
 )
 from .minrank import minrank_exact
@@ -58,16 +63,16 @@ def _normalize(violations: list) -> list:
     return sorted(violations, key=lambda v: json.dumps(v, sort_keys=True))
 
 
-def _mixed_radix_rows(n: int, p: int, unit_diagonal_domain: bool, index: int) -> list[list[int]]:
-    """Decode an enumeration index into matrix rows.
+def _nonzero_diagonal_rows(n: int, p: int, index: int) -> list[list[int]]:
+    """Decode an enumeration index into the rows of a nonzero-diagonal matrix.
 
-    With unit_diagonal_domain the diagonal digits run over 1..p-1 and the
-    off-diagonal digits over 0..p-1; otherwise every cell runs over 0..p-1.
+    The diagonal digits run over 1..p-1 and the off-diagonal digits over
+    0..p-1.
     """
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if unit_diagonal_domain and i == j:
+            if i == j:
                 index, digit = divmod(index, p - 1)
                 rows[i][j] = digit + 1
             else:
@@ -89,7 +94,7 @@ def _sparsity_worker(args) -> list:
     n, p, start, stop = args
     violations = []
     for idx in range(start, stop):
-        rows = _mixed_radix_rows(n, p, True, idx)
+        rows = _nonzero_diagonal_rows(n, p, idx)
         m = FieldMatrix.from_rows(p, rows)
         k = m.rank()
         s = sparsity(m)
@@ -132,14 +137,39 @@ def verify_sparsity_lower_bound(
 # sweep: counting matrices with sparse column and row bases
 
 def _census_worker(args) -> dict:
+    """Census counts of the matrices with index in [start, stop).
+
+    Rows and columns share one memo of (rank, min basis weight) keyed on the
+    sorted tuple of vectors.
+    """
     n, p, start, stop = args
+    size = p**n
+    digits = [
+        tuple((code // p**j) % p for j in range(n)) for code in range(size)
+    ]
+    profiles: dict[tuple, tuple[int, int]] = {}
     counts: dict[tuple[int, int, int], int] = {}
-    for idx in range(start, stop):
-        rows = _mixed_radix_rows(n, p, False, idx)
-        m = FieldMatrix.from_rows(p, rows)
-        k = m.rank()
-        column_weight = _min_basis_weight(_column_vectors(m), k, p)
-        key = (k, column_weight, _min_basis_weight(m.entries, k, p))
+    for index in range(start, stop):
+        rows = []
+        rest = index
+        for _ in range(n):
+            rest, code = divmod(rest, size)
+            rows.append(digits[code])
+        profile = []
+        for vectors in (rows, zip(*rows)):
+            multiset = tuple(sorted(vectors))
+            found = profiles.get(multiset)
+            if found is None:
+                rank = mod_rank(multiset, p)
+                found = (rank, _min_basis_weight(multiset, rank, p))
+                profiles[multiset] = found
+            profile.append(found)
+        (k, row_weight), (column_rank, column_weight) = profile
+        if column_rank != k:
+            raise RuntimeError(
+                f"row rank {k} differs from column rank {column_rank} for rows {rows}"
+            )
+        key = (k, column_weight, row_weight)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -150,7 +180,14 @@ def basis_weight_census(
     jobs: int = 1,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> dict[tuple[int, int, int], int]:
-    """Counts of all n x n matrices by (rank, min column/row basis weights)."""
+    """Counts of all n x n matrices by (rank, min column/row basis weights).
+
+    The enumeration is raw: every matrix is visited and counted on its own.
+    Only the (rank, min basis weight) of each multiset of row or column
+    vectors is memoized, within one call.
+    """
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
     total = _domain_size(n, p, False)
     check_budget(total, enumeration_budget, f"matrix census at n={n}, p={p}")
     spans = split_range(total, jobs)
@@ -210,7 +247,7 @@ def _submatrix_worker(args) -> list:
     subsets = _subsets(n)
     violations = []
     for idx in range(start, stop):
-        rows = _mixed_radix_rows(n, p, True, idx)
+        rows = _nonzero_diagonal_rows(n, p, idx)
         m = FieldMatrix.from_rows(p, rows)
         if m.rank() > k:
             continue

@@ -78,6 +78,33 @@ def _plain_mod_rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def oracle_min_basis_weight(vectors: list[list[int]], p: int) -> int:
+    """Minimum total nonzeros over rank-many independent vectors, found by
+    trying every subset of that size."""
+    rank = _plain_mod_rank(vectors, p)
+    return min(
+        sum(1 for v in subset for x in v if x % p)
+        for subset in combinations(vectors, rank)
+        if _plain_mod_rank(list(subset), p) == rank
+    )
+
+
+def oracle_basis_weight_census(n: int, p: int) -> dict[tuple[int, int, int], int]:
+    """Counts of all n x n matrices over GF(p) by (rank, min column basis
+    weight, min row basis weight), every matrix and every subset tried."""
+    counts: dict[tuple[int, int, int], int] = {}
+    for flat in product(range(p), repeat=n * n):
+        rows = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+        columns = [list(col) for col in zip(*rows)]
+        key = (
+            _plain_mod_rank(rows, p),
+            oracle_min_basis_weight(columns, p),
+            oracle_min_basis_weight(rows, p),
+        )
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def oracle_fraction_rank(rows: list[list]) -> int:
     """Rank over the rationals by plain Fraction Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in rows]

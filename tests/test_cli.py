@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from minranklab import kneser
+from minranklab import cli, kneser
 from minranklab.cli import main
 from minranklab.graphio import write_graph6
 from minranklab.graphs import cycle_graph
@@ -175,6 +176,34 @@ class TestKneserCommand:
         }
         assert matrix_path.read_text() == K631_MATRIX_TEXT
 
+    @pytest.mark.parametrize("d,s,m", [(5, 2, 1), (6, 3, 1), (6, 3, 2), (7, 3, 2), (8, 4, 2)])
+    @pytest.mark.parametrize("odd_girth", [False, True])
+    def test_edge_count_closed_form(self, capsys, d, s, m, odd_girth):
+        # each s-set meets C(s,i) C(d-s,s-i) others in exactly i < m elements
+        expected = math.comb(d, s) * sum(
+            math.comb(s, i) * math.comb(d - s, s - i) for i in range(m)
+        ) // 2
+        argv = ["kneser", "build", "--d", str(d), "--s", str(s), "--m", str(m)]
+        if odd_girth:
+            argv += ["--check-odd-girth", "3"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["vertex_count"] == math.comb(d, s)
+        assert result["edge_count"] == expected
+        assert ("odd_girth" in result["checks"]) == odd_girth
+
+    def test_build_without_odd_girth_builds_no_graph(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kneser_graph called")
+
+        monkeypatch.setattr(cli, "kneser_graph", refuse)
+        code, out = run_cli(
+            ["kneser", "build", "--d", "6", "--s", "3", "--m", "2", "--check-rank"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["edge_count"] == 100
+
     def test_witness_failure_exit_4(self, capsys, monkeypatch):
         def corrupt(s, m):
             return [c + 1 for c in pattern_polynomial_coefficients(s, m)]
@@ -253,6 +282,13 @@ class TestVerifyCommand:
         report = json.loads(lines[1])
         assert report["violations"] == []
         assert csv_path.read_text().startswith("lemma,")
+
+    def test_count_non_prime_field_exit_1(self, capsys):
+        code = main(["verify", "lemma", "--id", "count", "--n", "2", "--field", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: modulus 4 is not prime\n"
 
     def test_count_sweep_lines(self, capsys):
         code, out = run_cli(

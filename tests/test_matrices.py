@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minranklab.matrices import (
     FieldMatrix,
@@ -17,7 +19,7 @@ from minranklab.matrices import (
     sparsity,
 )
 
-from _oracles import oracle_fraction_rank
+from _oracles import oracle_fraction_rank, oracle_min_basis_weight
 
 
 def test_prime_check_at_construction():
@@ -170,6 +172,31 @@ class TestSparseBases:
                     w = sum(x for col in sub for x in col)
                     best = w if best is None else min(best, w)
             assert min_column_basis_weight(m) == (best or 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5]).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.integers(1, 5).flatmap(
+                    lambda cols: st.lists(
+                        st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
+                        min_size=1,
+                        max_size=5,
+                    )
+                ),
+            )
+        ),
+        st.integers(0, 25),
+    )
+    def test_weights_match_subset_oracle(self, field_and_rows, ell):
+        p, rows = field_and_rows
+        m = FieldMatrix.from_rows(p, rows)
+        column_weight = oracle_min_basis_weight([list(c) for c in zip(*rows)], p)
+        row_weight = oracle_min_basis_weight(rows, p)
+        assert min_column_basis_weight(m) == column_weight
+        assert min_row_basis_weight(m) == row_weight
+        assert has_sparse_bases(m, ell) == (max(column_weight, row_weight) <= ell)
 
 
 class TestTextFormat:

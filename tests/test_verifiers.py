@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from minranklab import verifiers
 from minranklab.budgets import BudgetExceededError
 from minranklab.graphio import graph_to_graph6
 from minranklab.graphs import (
@@ -23,6 +24,8 @@ from minranklab.verifiers import (
     verify_sparse_basis_count,
     verify_sparsity_lower_bound,
 )
+
+from _oracles import oracle_basis_weight_census
 
 
 class TestSparsityLowerBound:
@@ -78,6 +81,56 @@ class TestSparseBasisCount:
                 for ell in range(1, n * max(k, 1) + 1):
                     report = verify_sparse_basis_count(n, k, ell, 2, census=census)
                     assert report.ok
+
+
+class TestBasisWeightCensus:
+    @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (2, 3), (2, 5)])
+    def test_matches_subset_oracle(self, n, p):
+        assert basis_weight_census(n, p) == oracle_basis_weight_census(n, p)
+
+    def test_rank_counts_closed_form(self):
+        # rank-r matrices among the 4x4 over GF(2): 1, 225, 7350, 37800, 20160
+        by_rank: dict[int, int] = {}
+        for (rank, _, _), value in basis_weight_census(4, 2).items():
+            by_rank[rank] = by_rank.get(rank, 0) + value
+        assert by_rank == {0: 1, 1: 225, 2: 7350, 3: 37800, 4: 20160}
+
+    def test_jobs_invariant(self):
+        assert basis_weight_census(3, 2, jobs=2) == basis_weight_census(3, 2, jobs=1)
+
+    def test_non_prime_field_refused_before_budget(self):
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            basis_weight_census(2, 4)
+        # 4^81 matrices would trip the budget; the modulus is refused first
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            basis_weight_census(9, 4)
+
+    def test_one_search_per_vector_multiset_per_call(self, monkeypatch):
+        # C(16 + 3, 4) = 3876 multisets of four vectors of GF(2)^4; a second
+        # call searches them all again, so the memo lives for one call only
+        calls = [0]
+        search = verifiers._min_basis_weight
+
+        def counted(cols, k, p):
+            calls[0] += 1
+            return search(cols, k, p)
+
+        monkeypatch.setattr(verifiers, "_min_basis_weight", counted)
+        for _ in range(2):
+            calls[0] = 0
+            basis_weight_census(4, 2)
+            assert calls[0] == 3876
+
+    def test_row_column_rank_mismatch_raises(self, monkeypatch):
+        rank = verifiers.mod_rank
+
+        def lying(rows, p):
+            # [[0, 1], [0, 0]] has rows {(0,0), (0,1)} but columns {(0,0), (1,0)}
+            return rank(rows, p) + ((0, 1) in rows)
+
+        monkeypatch.setattr(verifiers, "mod_rank", lying)
+        with pytest.raises(RuntimeError, match="differs from column rank"):
+            basis_weight_census(2, 2)
 
 
 class TestPrincipalSubmatrix:
