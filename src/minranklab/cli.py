@@ -182,7 +182,6 @@ def _run_kneser_build(args):
         result["checks"]["rank"] = {
             "value": witness.rank,
             "bound": witness.rank_bound,
-            "tight_bound": witness.tight_bound,
             "ok": witness.rank <= witness.rank_bound,
         }
     if args.check_odd_girth is not None:

@@ -3,25 +3,25 @@
 K(d, s, m) has the s-subsets of {0..d-1} as vertices, adjacent when the
 intersection has fewer than m elements. The representing matrix M holds the
 integer polynomial P(t) = prod_{j=m}^{s-1} (t - j) at the pairwise
-intersection sizes, as Python ints. Two factorizations bound its rank:
+intersection sizes, as Python ints.
 
-- M = L R^T over the subsets U with |U| <= s-m, with L[A][U] = [U ⊆ A] and
-  R[B][U] = c_{|U|} [U ⊆ B]. The c_u are the coefficients of the
-  multilinear expansion of the product, which depend only on the monomial
-  degree and are the finite differences of P at 0. Its width is rank_bound.
-- L * M = W Y through the inclusion matrix W[A][T] = [T ⊆ A] of the
-  (s-m)-subsets T, with Y[T][B] = y(|T ∩ B|) and an integer scale L. Its
-  width C(d, s-m) is tight_bound. Inclusion matrices have full rank over Q
-  (Gottlieb 1966), so M has exactly that rank whenever Y has; the tests
-  find it so for m >= 2 at s = d/2, but not for m = 1.
+M = L R^T over the subsets U with |U| <= s-m, with L[A][U] = [U ⊆ A] and
+R[B][U] = c_{|U|} [U ⊆ B]. The c_u are the coefficients of the multilinear
+expansion of the product, which depend only on the monomial degree and are
+the finite differences of P at 0. The width rank_bound bounds the rank. The
+product is checked against M over all N^2 pairs with bitsets: row a of L is
+a bitset L_a, row b of R splits into bitsets R_b^v of the columns holding v,
+and the entry is sum_v v * popcount(L_a & R_b^v).
 
-Each product is checked against M over all N^2 pairs with bitsets: row a of
-the 0/1 left factor is a bitset L_a, row b of the right factor splits into
-bitsets R_b^v of the columns holding v, and the entry is
-sum_v v * popcount(L_a & R_b^v). The exact rank is certified from both
-sides: the rank mod a prime is a lower bound (reduction mod p cannot raise
-the rank of an integer matrix) and tight_bound an upper bound. When the two
-meet, that is the rank; otherwise fraction-free elimination computes it.
+The exact rank over Q is a closed form. M depends only on |A ∩ B|, so it
+lies in the Bose-Mesner algebra of the Johnson scheme J(d, s): on the j-th
+common eigenspace, of dimension C(d, j) - C(d, j-1), it acts as
+sum_i P(s-i) E_i(j), with E_i the Eberlein polynomials (Delsarte 1973;
+Godsil and Meagher 2015). The rank is the total dimension of the
+eigenspaces where that value is nonzero. The rank mod a prime, computed
+from the entries, must equal it. Reduction mod p cannot raise the rank of
+an integer matrix, and for a prime this large it keeps the rank on every
+tested instance, so a mismatch exposes an error in one of the two.
 """
 
 from __future__ import annotations
@@ -107,6 +107,37 @@ def pattern_polynomial_coefficients(s: int, m: int) -> list[int]:
     return coeffs
 
 
+def johnson_spectrum(params: KneserParams) -> list[tuple[int, int]]:
+    """(eigenvalue, multiplicity) of the representing matrix on each common
+    eigenspace V_j, j = 0..min(s, d-s), of the Johnson scheme J(d, s).
+
+    The matrix is sum_i P(s-i) A_i, A_i joining the s-sets that meet in s-i
+    elements. A_i acts on V_j as the Eberlein polynomial
+    E_i(j) = sum_h (-1)^h C(j, h) C(s-j, i-h) C(d-s-j, i-h), and V_j has
+    dimension C(d, j) - C(d, j-1).
+    """
+    d, s, m = params.d, params.s, params.m
+    top = min(s, d - s)
+    spectrum = []
+    for j in range(top + 1):
+        value = sum(
+            intersection_polynomial(s, m, s - i) * sum(
+                (-1) ** h * math.comb(j, h) * math.comb(s - j, i - h)
+                * math.comb(d - s - j, i - h)
+                for h in range(i + 1)
+            )
+            for i in range(top + 1)
+        )
+        spectrum.append((value, math.comb(d, j) - (math.comb(d, j - 1) if j else 0)))
+    return spectrum
+
+
+def spectral_rank(params: KneserParams) -> int:
+    """Exact rank over Q of the representing matrix: the total multiplicity of
+    its nonzero eigenvalues, the matrix being symmetric."""
+    return sum(mult for value, mult in johnson_spectrum(params) if value)
+
+
 @dataclass(frozen=True)
 class KneserWitness:
     """Representation matrix of K(d,s,m) with its verified rank certificates.
@@ -114,9 +145,9 @@ class KneserWitness:
     matrix holds the integer entries P(|A ∩ B|). It equals
     factor_left @ factor_right^T exactly (checked over all pairs), so its
     rank is at most their common column count rank_bound. With the rank
-    checked, a second verified factorization through the inclusion matrix
-    of (s-m)-subsets gives tight_bound = C(d, s-m) >= rank, and rank is the
-    certified exact rank over the rationals; both are None otherwise.
+    checked, rank is the exact rank over the rationals, read off the
+    Johnson-scheme spectrum and matched by the rank mod CERTIFICATE_PRIME;
+    it is None otherwise.
     """
 
     params: KneserParams
@@ -127,14 +158,13 @@ class KneserWitness:
     coefficients: tuple[int, ...]
     rank_bound: int
     rank: Optional[int] = None
-    tight_bound: Optional[int] = None
 
 
-class WitnessVerificationError(RuntimeError):
-    """An internal consistency check failed while building a witness."""
+class VerificationError(RuntimeError):
+    """A built witness or a proved guarantee failed its explicit check."""
 
 
-# The lower side of the rank certificate: rank mod p <= rank over Q.
+# The computed side of the rank certificate: rank mod p <= rank over Q.
 CERTIFICATE_PRIME = 2**31 - 1
 
 
@@ -146,10 +176,9 @@ def representation_matrix(
     """Build and verify the representing matrix and its factorization.
 
     Structural invariants (diagonal value, zero pattern matching the graph,
-    factorization identity) are always verified. With check_rank, the tight
-    factorization is built and verified too, and the exact rank is certified:
-    by the rank mod CERTIFICATE_PRIME when it reaches tight_bound, otherwise
-    by fraction-free elimination.
+    factorization identity) are always verified. With check_rank, the exact
+    rank is spectral_rank(params), and the rank mod CERTIFICATE_PRIME of the
+    entries must equal it.
     """
     d, s, m = params.d, params.s, params.m
     check_budget(
@@ -175,27 +204,29 @@ def representation_matrix(
     )
 
     _verify_structure(params, masks, entries, poly)
-    _verify_product(entries, left_rows, right_rows, 1, "factorization")
+    _verify_product(entries, left_rows, right_rows)
 
-    matrix = RationalMatrix(entries)
-    rank = tight_bound = None
+    rank = None
     if check_rank:
-        tight_bound = _verify_tight_factorization(params, masks, entries, coeffs)
-        rank = _certified_rank(matrix, tight_bound)
+        rank = spectral_rank(params)
+        computed = mod_rank(entries, CERTIFICATE_PRIME)
+        if computed != rank:
+            raise VerificationError(
+                f"rank mod p {computed} differs from the spectral rank {rank}"
+            )
         if rank > params.rank_bound:
-            raise WitnessVerificationError(
+            raise VerificationError(
                 f"rank {rank} exceeds the certificate bound {params.rank_bound}"
             )
     return KneserWitness(
         params=params,
         vertices=tuple(masks),
-        matrix=matrix,
+        matrix=RationalMatrix(entries),
         factor_left=RationalMatrix(left_rows),
         factor_right=RationalMatrix(right_rows),
         coefficients=tuple(coeffs),
         rank_bound=params.rank_bound,
         rank=rank,
-        tight_bound=tight_bound,
     )
 
 
@@ -204,24 +235,24 @@ def _verify_structure(params, masks, entries, poly) -> None:
     s, m = params.s, params.m
     diag = math.factorial(s - m)
     if poly[s] != diag:
-        raise WitnessVerificationError("diagonal value is not (s-m)!")
+        raise VerificationError("diagonal value is not (s-m)!")
     for a, ma in enumerate(masks):
         row = entries[a]
         if row[a] != diag:
-            raise WitnessVerificationError(f"bad diagonal at {a}")
+            raise VerificationError(f"bad diagonal at {a}")
         zeros = [x == 0 for x in row]
         non_edges = [(ma & mb).bit_count() >= m for mb in masks]
         non_edges[a] = False
         if zeros != non_edges:
             b = next(b for b in range(len(masks)) if zeros[b] != non_edges[b])
             inter = (ma & masks[b]).bit_count()
-            raise WitnessVerificationError(
+            raise VerificationError(
                 f"zero pattern mismatch at pair ({a},{b}), intersection {inter}"
             )
 
 
-def _verify_product(entries, left_rows, right_rows, scale: int, what: str) -> None:
-    """Check scale * entries == left @ right^T over all pairs, left being 0/1.
+def _verify_product(entries, left_rows, right_rows) -> None:
+    """Check entries == left @ right^T over all pairs, left being 0/1.
 
     Row a of left is the bitset L_a; row b of right splits into the bitsets
     R_b^v of its columns holding v, so the (a, b) entry of the product is
@@ -229,11 +260,11 @@ def _verify_product(entries, left_rows, right_rows, scale: int, what: str) -> No
     """
     width = len(entries[0]) if entries else 0
     if len(left_rows) != len(entries) or len(right_rows) != width:
-        raise WitnessVerificationError(f"{what}: factor shapes do not fit the matrix")
+        raise VerificationError("factorization: factor shapes do not fit the matrix")
     left_bits = []
     for a, row in enumerate(left_rows):
         if not all(x == 0 or x == 1 for x in row):
-            raise WitnessVerificationError(f"{what}: left factor row {a} is not 0/1")
+            raise VerificationError(f"factorization: left factor row {a} is not 0/1")
         left_bits.append(sum(1 << j for j, x in enumerate(row) if x))
     for b, (row, column) in enumerate(zip(right_rows, zip(*entries))):
         by_value: dict = {}
@@ -246,57 +277,9 @@ def _verify_product(entries, left_rows, right_rows, scale: int, what: str) -> No
                 acc + v * (la & bits).bit_count()
                 for acc, la in zip(product, left_bits)
             ]
-        expected = [scale * x for x in column]
-        if product != expected:
-            a = next(a for a, x in enumerate(expected) if product[a] != x)
-            raise WitnessVerificationError(f"{what} mismatch at pair ({a},{b})")
-
-
-def _tight_weights(s: int, m: int, coeffs: list[int]) -> tuple[int, list[int]]:
-    """Scale L and weights y(0..s-m) with L * P(|A ∩ B|) = sum y(|T ∩ B|)
-    over the (s-m)-subsets T of A, for every s-subset A.
-
-    For |A| = s and |U| = u <= r = s-m, [U ⊆ A] * C(s-u, r-u) counts the
-    r-sets T with U ⊆ T ⊆ A; substituting this into the multilinear
-    expansion gives y(j) = sum_u c_u C(j, u) L / C(s-u, r-u).
-    """
-    r = s - m
-    sizes = [math.comb(s - u, r - u) for u in range(r + 1)]
-    scale = math.lcm(*sizes)
-    weights = [
-        sum(coeffs[u] * math.comb(j, u) * (scale // sizes[u]) for u in range(j + 1))
-        for j in range(r + 1)
-    ]
-    return scale, weights
-
-
-def _verify_tight_factorization(params, masks, entries, coeffs) -> int:
-    """Verify L * matrix == W Y through the inclusion matrix W_{s-m,s};
-    returns its width C(d, s-m), an upper bound on the rank."""
-    scale, weights = _tight_weights(params.s, params.m, coeffs)
-    tsets = subset_masks(params.d, params.s - params.m)
-    inclusion = [[0 if t & ~ma else 1 for t in tsets] for ma in masks]
-    y_columns = [[weights[(t & mb).bit_count()] for t in tsets] for mb in masks]
-    _verify_product(entries, inclusion, y_columns, scale, "tight factorization")
-    return len(tsets)
-
-
-def _certified_rank(matrix: RationalMatrix, tight_bound: int) -> int:
-    """Exact rank, squeezed between the rank mod CERTIFICATE_PRIME (a lower
-    bound) and tight_bound; fraction-free elimination when they differ."""
-    lower = mod_rank(matrix.entries, CERTIFICATE_PRIME)
-    if lower == tight_bound:
-        return lower
-    rank = matrix.rank()
-    if not lower <= rank <= tight_bound:
-        raise WitnessVerificationError(
-            f"rank {rank} lies outside [{lower}, {tight_bound}] (rank mod p, tight bound)"
-        )
-    return rank
-
-
-class OddCycleViolation(RuntimeError):
-    """The constructed graph contained an odd cycle it was guaranteed to avoid."""
+        if product != list(column):
+            a = next(a for a, x in enumerate(column) if product[a] != x)
+            raise VerificationError(f"factorization mismatch at pair ({a},{b})")
 
 
 def odd_girth_guarantee(
@@ -309,7 +292,8 @@ def odd_girth_guarantee(
     """True iff m <= d/(2*ell), the hypothesis excluding odd cycles <= ell.
 
     Applies to K(d, d/2, m) for even d. With verify=True the graph is built
-    and searched explicitly; a cycle found under a true hypothesis raises.
+    and searched explicitly; a cycle found under a true hypothesis raises
+    VerificationError.
     """
     if ell < 3 or ell % 2 == 0:
         raise ValueError("ell must be an odd integer >= 3")
@@ -322,7 +306,7 @@ def odd_girth_guarantee(
         graph = kneser_graph(KneserParams(d, d // 2, m), vertex_budget)
         found = min_odd_cycle_at_most(graph, ell)
         if found is not None:
-            raise OddCycleViolation(
+            raise VerificationError(
                 f"K({d},{d // 2},{m}) contains an odd cycle of length {found} <= {ell}"
             )
     return holds

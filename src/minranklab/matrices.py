@@ -347,13 +347,9 @@ def has_sparse_bases(m: FieldMatrix, ell: int) -> bool:
 # text format: "rows cols modulus" then row-major entries (modulus 0 = rationals)
 
 def format_matrix_text(m: Matrix) -> str:
-    if isinstance(m, FieldMatrix):
-        head = f"{m.rows} {m.cols} {m.p}"
-        body = "\n".join(" ".join(str(x) for x in row) for row in m.entries)
-    else:
-        head = f"{m.rows} {m.cols} 0"
-        body = "\n".join(" ".join(str(x) for x in row) for row in m.entries)
-    return head + ("\n" + body if body else "") + "\n"
+    modulus = m.p if isinstance(m, FieldMatrix) else 0
+    body = "\n".join(" ".join(str(x) for x in row) for row in m.entries)
+    return f"{m.rows} {m.cols} {modulus}" + ("\n" + body if body else "") + "\n"
 
 
 def parse_matrix_text(text: str) -> Matrix:

@@ -251,8 +251,7 @@ def _coloring_witness(g: GraphLike, p: int, upper: int) -> tuple[int, FieldMatri
 
 def solver_work_estimate(n: int, p: int, k_lo: int, k_hi: int) -> int:
     """Candidate-subspaces-times-vertices cost model for the budget check."""
-    factor = 1 if p == 2 else 4
-    return sum(gaussian_binomial(n, k, p) for k in range(k_lo, k_hi)) * n * factor
+    return sum(gaussian_binomial(n, k, p) for k in range(k_lo, k_hi)) * n
 
 
 def _checked(

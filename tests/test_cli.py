@@ -150,7 +150,7 @@ class TestKneserCommand:
 
     def test_build_payload_and_matrix_pinned(self, capsys, tmp_path):
         # integer entries print as the Fraction entries did, so payload and
-        # matrix text stay byte-identical; only checks.rank.tight_bound is new
+        # matrix text stay byte-identical
         matrix_path = tmp_path / "k631.txt"
         code, out = run_cli(
             [
@@ -162,7 +162,7 @@ class TestKneserCommand:
         assert code == 0
         assert json.loads(out)["result"] == {
             "checks": {
-                "rank": {"bound": 22, "ok": True, "tight_bound": 15, "value": 10},
+                "rank": {"bound": 22, "ok": True, "value": 10},
                 "structure": True,
             },
             "coefficients": [2, -2, 2],

@@ -14,19 +14,23 @@ from minranklab.graphs import (
     min_odd_cycle_at_most,
 )
 from minranklab.kneser import (
+    CERTIFICATE_PRIME,
     KneserParams,
-    WitnessVerificationError,
+    VerificationError,
     binary_entropy,
     construction_subgraph,
     entropy_delta_limit,
     intersection_polynomial,
+    johnson_spectrum,
     kneser_graph,
     odd_girth_guarantee,
     pattern_polynomial_coefficients,
     rank_bound_report,
     representation_matrix,
+    spectral_rank,
     subset_masks,
 )
+from minranklab.matrices import mod_rank
 from minranklab.minrank import represents
 
 from _oracles import oracle_fraction_rank, oracle_multilinear_coefficients
@@ -181,18 +185,38 @@ class TestRankCertificate:
                 for m in range(0, s + 1):
                     w = representation_matrix(KneserParams(d, s, m), check_rank=True)
                     entries = [list(row) for row in w.matrix.entries]
-                    assert w.rank == oracle_fraction_rank(entries), (d, s, m)
-                    assert w.tight_bound == math.comb(d, s - m)
-                    assert w.rank <= w.tight_bound <= w.rank_bound
+                    rank = spectral_rank(w.params)
+                    assert rank == oracle_fraction_rank(entries), (d, s, m)
+                    assert w.rank == rank <= w.rank_bound
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(2, 5).flatmap(lambda s: st.tuples(st.just(s), st.integers(2, s))))
-    def test_tight_bound_is_the_rank_at_half_size(self, sm):
-        s, m = sm
-        w = representation_matrix(KneserParams(2 * s, s, m), check_rank=True)
-        assert w.rank == w.tight_bound == math.comb(2 * s, s - m)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 10)
+        .flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d)))
+        .flatmap(lambda ds: st.tuples(st.just(ds[0]), st.just(ds[1]), st.integers(0, ds[1])))
+    )
+    def test_spectral_rank_equals_rank_mod_p(self, dsm):
+        w = representation_matrix(KneserParams(*dsm))
+        assert spectral_rank(w.params) == mod_rank(w.matrix.entries, CERTIFICATE_PRIME)
 
-    def test_elimination_runs_only_when_the_bounds_differ(self, monkeypatch):
+    def test_spectrum_accounts_for_every_vertex_and_the_trace(self):
+        # the eigenspace dimensions sum to N = C(d, s), and the eigenvalues
+        # weighted by them sum to the trace N * (s-m)!
+        for d in range(0, 13):
+            for s in range(0, d + 1):
+                for m in range(0, s + 1):
+                    spectrum = johnson_spectrum(KneserParams(d, s, m))
+                    assert sum(mult for _, mult in spectrum) == math.comb(d, s)
+                    assert sum(v * mult for v, mult in spectrum) == (
+                        math.comb(d, s) * math.factorial(s - m)
+                    )
+
+    def test_spectral_rank_at_half_size(self):
+        for s in range(2, 13):
+            for m in range(2, s + 1):
+                assert spectral_rank(KneserParams(2 * s, s, m)) == math.comb(2 * s, s - m)
+
+    def test_no_elimination_on_the_kneser_path(self, monkeypatch):
         calls = []
         bareiss = matrices.bareiss_rank
 
@@ -202,13 +226,13 @@ class TestRankCertificate:
 
         monkeypatch.setattr(matrices, "bareiss_rank", counted)
         w = representation_matrix(KneserParams(10, 5, 2), check_rank=True)
-        assert (w.rank, w.tight_bound, calls) == (120, 120, [])
+        assert (w.rank, calls) == (120, [])
         w = representation_matrix(KneserParams(10, 5, 1), check_rank=True)
-        assert (w.rank, w.tight_bound, calls) == (126, 210, [252])
+        assert (w.rank, calls) == (126, [])
 
     def test_no_rank_without_check(self):
         w = representation_matrix(KneserParams(6, 3, 2))
-        assert w.rank is None and w.tight_bound is None
+        assert w.rank is None
 
     def test_integer_entries(self):
         w = representation_matrix(KneserParams(6, 3, 1))
@@ -224,21 +248,8 @@ class TestWitnessChecks:
             return coeffs
 
         monkeypatch.setattr(kneser, "pattern_polynomial_coefficients", corrupt)
-        with pytest.raises(WitnessVerificationError, match="^factorization mismatch"):
+        with pytest.raises(VerificationError, match="^factorization mismatch"):
             representation_matrix(KneserParams(6, 3, 1))
-
-    def test_corrupt_tight_factor_fails(self, monkeypatch):
-        weights = kneser._tight_weights
-
-        def corrupt(s, m, coeffs):
-            scale, y = weights(s, m, coeffs)
-            y[0] += 1
-            return scale, y
-
-        monkeypatch.setattr(kneser, "_tight_weights", corrupt)
-        representation_matrix(KneserParams(6, 3, 2))  # built only with the rank
-        with pytest.raises(WitnessVerificationError, match="^tight factorization mismatch"):
-            representation_matrix(KneserParams(6, 3, 2), check_rank=True)
 
     def test_wrong_zero_pattern_fails(self, monkeypatch):
         # P(0) = 2 for K(6,3,1); a zero there drops every edge
@@ -246,21 +257,27 @@ class TestWitnessChecks:
             return 0 if t == 0 else intersection_polynomial(s, m, t)
 
         monkeypatch.setattr(kneser, "intersection_polynomial", corrupt)
-        with pytest.raises(WitnessVerificationError, match="zero pattern mismatch"):
+        with pytest.raises(VerificationError, match="zero pattern mismatch"):
             representation_matrix(KneserParams(6, 3, 1))
 
     def test_left_factor_must_be_zero_one(self):
         entries = ((2,),)
-        kneser._verify_product(entries, ((1,),), ((2,),), 1, "product")
-        with pytest.raises(WitnessVerificationError, match="not 0/1"):
-            kneser._verify_product(entries, ((2,),), ((1,),), 1, "product")
-        with pytest.raises(WitnessVerificationError, match="shapes"):
-            kneser._verify_product(entries, ((1,),), (), 1, "product")
+        kneser._verify_product(entries, ((1,),), ((2,),))
+        with pytest.raises(VerificationError, match="not 0/1"):
+            kneser._verify_product(entries, ((2,),), ((1,),))
+        with pytest.raises(VerificationError, match="shapes"):
+            kneser._verify_product(entries, ((1,),), ())
 
     def test_rank_outside_the_certificate_fails(self, monkeypatch):
-        # K(6,3,1) has rank 10 < tight_bound 15; a lower bound of 11 is a lie
-        monkeypatch.setattr(kneser, "mod_rank", lambda rows, p: 11)
-        with pytest.raises(WitnessVerificationError, match="outside"):
+        # K(6,3,1) has rank 10; a computed rank on either side of it is a lie
+        for lie in (9, 11):
+            monkeypatch.setattr(kneser, "mod_rank", lambda rows, p: lie)
+            with pytest.raises(VerificationError, match="differs from the spectral rank 10"):
+                representation_matrix(KneserParams(6, 3, 1), check_rank=True)
+
+    def test_wrong_spectral_rank_fails(self, monkeypatch):
+        monkeypatch.setattr(kneser, "spectral_rank", lambda params: 11)
+        with pytest.raises(VerificationError, match="^rank mod p 10 differs"):
             representation_matrix(KneserParams(6, 3, 1), check_rank=True)
 
 
@@ -271,6 +288,11 @@ class TestOddGirth:
 
     def test_hypothesis_fails(self):
         assert not odd_girth_guarantee(6, 2, 3)
+
+    def test_cycle_under_a_true_hypothesis_raises(self, monkeypatch):
+        monkeypatch.setattr(kneser, "min_odd_cycle_at_most", lambda graph, ell: 3)
+        with pytest.raises(VerificationError, match="odd cycle of length 3"):
+            odd_girth_guarantee(6, 1, 3, verify=True)
 
     def test_parity_errors(self):
         with pytest.raises(ValueError):

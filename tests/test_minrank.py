@@ -293,7 +293,11 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             minrank_exact(cycle_graph(9), 2)
         with pytest.raises(BudgetExceededError):
-            minrank_exact(cycle_graph(7), 3)
+            minrank_exact(cycle_graph(7), 5)
+
+    def test_estimate_is_subspaces_times_vertices(self):
+        # C7 over GF(3): 925,771 three-dimensional subspaces of GF(3)^7, times 7
+        assert solver_work_estimate(7, 3, 3, 4) == 6_480_397
 
     def test_equal_bounds_bypass_enumeration(self):
         # no enumeration is needed, so even huge graphs answer instantly
@@ -303,5 +307,7 @@ class TestBudget:
     def test_budget_override(self):
         g = cycle_graph(7)
         estimate = solver_work_estimate(7, 3, 3, 4)
-        result = minrank_exact(g, 3, work_budget=estimate + 10**8)
+        with pytest.raises(BudgetExceededError):
+            minrank_exact(g, 3, work_budget=estimate - 1)
+        result = minrank_exact(g, 3, work_budget=estimate)
         assert result.value == 4  # alpha=3 infeasible, chi-bar witness at 4
