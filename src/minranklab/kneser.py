@@ -354,10 +354,9 @@ def rank_bound_report(ell: int, n: int) -> ConstructionReport:
     while math.comb(d, d // 2) < n:
         d += 2 * ell
     m = d // (2 * ell)
-    rank_bound = sum(math.comb(d, i) for i in range(d // 2 - m + 1))
-    vertex_count = math.comb(d, d // 2)
-    delta_star = round(1.0 - math.log(rank_bound) / math.log(vertex_count), 6)
-    return ConstructionReport(ell, n, d, m, rank_bound, vertex_count, delta_star)
+    params = KneserParams(d, d // 2, m)
+    delta_star = round(1.0 - math.log(params.rank_bound) / math.log(params.vertex_count), 6)
+    return ConstructionReport(ell, n, d, m, params.rank_bound, params.vertex_count, delta_star)
 
 
 def construction_subgraph(

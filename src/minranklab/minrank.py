@@ -183,9 +183,7 @@ def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
 
 def _scan_chunk(args):
     """Worker: scan a run of pivot sets, return the first feasible basis."""
-    n, p, pivot_list, graph_adj, is_digraph = args
-    g: GraphLike = Digraph(n, graph_adj) if is_digraph else Graph(n, graph_adj)
-    allowed = _allowed_masks(g)
+    n, p, pivot_list, allowed = args
     vorder = sorted(range(n), key=lambda v: allowed[v].bit_count())
     outside = [(v, [u for u in range(n) if not (allowed[v] >> u) & 1]) for v in vorder]
     neighbors = [(v, [u for u in range(n) if u != v and (allowed[v] >> u) & 1]) for v in vorder]
@@ -202,9 +200,9 @@ def _first_feasible(g: GraphLike, p: int, k: int, jobs: int):
     pivot_sets = list(combinations(range(n), k))
     if len(pivot_sets) < 2 * jobs:
         jobs = 1
-    is_digraph = isinstance(g, Digraph)
+    allowed = _allowed_masks(g)
     args = [
-        (n, p, pivot_sets[start:stop], g.adj, is_digraph)
+        (n, p, pivot_sets[start:stop], allowed)
         for start, stop in split_range(len(pivot_sets), jobs)
     ]
     # chunks are contiguous and in order, so the first hit is the first overall

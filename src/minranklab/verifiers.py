@@ -2,21 +2,27 @@
 
 Each sweep enumerates raw matrices or graphs (no symmetry reduction inside
 the counted enumerations, so counts stay exact), records every violation it
-finds, and reports reproducible parameters. The matrix census still visits
-and counts matrix by matrix; within one call it memoizes only the (rank,
-min basis weight) of each multiset of row or column vectors, which does not
-depend on the order of the vectors. Sweeps partition their index
-space across workers; violation lists are order-normalized so the output is
-schedule-independent.
+finds, and reports reproducible parameters.
+
+The three matrix sweeps share one path. A table per row position lists the
+rows allowed there (all of GF(p)^n, or for the nonzero-diagonal domain the
+vectors nonzero at that position), and a matrix index is read digit by digit
+in the tables' lengths. Every matrix is visited and checked on its own;
+within one worker chunk only the (rank, min basis weight) of each multiset
+of vectors is memoized, which does not depend on the order of the vectors.
+The sparsity sweep reads the rank of the rows, the census the profiles of
+the rows and the columns, the submatrix sweep those of each principal block.
+Sweeps partition their index space across workers; violation lists are
+order-normalized so the output is schedule-independent.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .budgets import (
@@ -34,14 +40,7 @@ from .graphs import (
     sample_digraph,
     underlying_graph,
 )
-from .matrices import (
-    FieldMatrix,
-    _column_vectors,
-    _min_basis_weight,
-    is_prime,
-    mod_rank,
-    sparsity,
-)
+from .matrices import _min_basis_weight, is_prime, mod_rank
 from .minrank import minrank_exact
 from .parallel import map_chunks, split_range
 
@@ -52,7 +51,6 @@ class VerificationReport:
     params: dict
     instances_checked: int
     violations: list
-    wall_time_s: float
 
     @property
     def ok(self) -> bool:
@@ -63,28 +61,81 @@ def _normalize(violations: list) -> list:
     return sorted(violations, key=lambda v: json.dumps(v, sort_keys=True))
 
 
-def _nonzero_diagonal_rows(n: int, p: int, index: int) -> list[list[int]]:
-    """Decode an enumeration index into the rows of a nonzero-diagonal matrix.
+# ---------------------------------------------------------------------------
+# the matrix-sweep path: row tables, index decoder, profile memo
 
-    The diagonal digits run over 1..p-1 and the off-diagonal digits over
-    0..p-1.
-    """
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                index, digit = divmod(index, p - 1)
-                rows[i][j] = digit + 1
-            else:
-                index, digit = divmod(index, p)
-                rows[i][j] = digit
-    return rows
-
-
-def _domain_size(n: int, p: int, unit_diagonal_domain: bool) -> int:
-    if unit_diagonal_domain:
+def _domain_size(n: int, p: int, nonzero_diagonal: bool) -> int:
+    if nonzero_diagonal:
         return (p - 1) ** n * p ** (n * n - n)
     return p ** (n * n)
+
+
+def _row_tables(n: int, p: int, nonzero_diagonal: bool) -> list[list[tuple[int, ...]]]:
+    """Per row position, the rows allowed there, ordered by the code
+    sum(v_j * p**j); the nonzero-diagonal domain keeps at position i only
+    the vectors with v_i != 0."""
+    vectors = [tuple((code // p**j) % p for j in range(n)) for code in range(p**n)]
+    if nonzero_diagonal:
+        return [[v for v in vectors if v[i]] for i in range(n)]
+    return [vectors] * n
+
+
+def _matrices(tables: list, start: int, stop: int):
+    """The matrices with index in [start, stop) as lists of row tuples: row i
+    is tables[i][digit i], the index read in mixed radix, row 0 lowest."""
+    sized = [(len(table), table) for table in tables]
+    for index in range(start, stop):
+        rows = []
+        for size, table in sized:
+            index, code = divmod(index, size)
+            rows.append(table[code])
+        yield rows
+
+
+def _profile(vectors, p: int, memo: dict) -> tuple[int, int]:
+    """(rank, min basis weight) of the vectors over GF(p), memoized on their
+    sorted tuple."""
+    multiset = tuple(sorted(vectors))
+    found = memo.get(multiset)
+    if found is None:
+        rank = mod_rank(multiset, p)
+        found = memo[multiset] = (rank, _min_basis_weight(multiset, rank, p))
+    return found
+
+
+def _matrix_profile(rows: list, p: int, memo: dict) -> tuple[int, int, int]:
+    """(rank, min column basis weight, min row basis weight) of a matrix."""
+    k, row_weight = _profile(rows, p, memo)
+    column_rank, column_weight = _profile(zip(*rows), p, memo)
+    if column_rank != k:
+        raise RuntimeError(
+            f"row rank {k} differs from column rank {column_rank} for rows {rows}"
+        )
+    return k, column_weight, row_weight
+
+
+def _nonzeros(rows: list) -> int:
+    return sum(1 for row in rows for x in row if x)
+
+
+def _nonzero_diagonal_sweep(
+    worker, extra: tuple, n_max: int, p: int, jobs: int, enumeration_budget: int
+) -> tuple[int, list]:
+    """Run worker over the nonzero-diagonal n x n matrices for n = 1..n_max;
+    each chunk gets (n, p, *extra, start, stop). Returns the number of
+    matrices checked and the normalized violations."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    checked = 0
+    violations: list = []
+    for n in range(1, n_max + 1):
+        total = _domain_size(n, p, True)
+        check_budget(total, enumeration_budget, f"matrix sweep at n={n}, p={p}")
+        spans = split_range(total, jobs)
+        for found in map_chunks(worker, [(n, p, *extra, a, b) for a, b in spans], jobs):
+            violations.extend(found)
+        checked += total
+    return checked, _normalize(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +143,14 @@ def _domain_size(n: int, p: int, unit_diagonal_domain: bool) -> int:
 
 def _sparsity_worker(args) -> list:
     n, p, start, stop = args
+    memo: dict = {}
     violations = []
-    for idx in range(start, stop):
-        rows = _nonzero_diagonal_rows(n, p, idx)
-        m = FieldMatrix.from_rows(p, rows)
-        k = m.rank()
-        s = sparsity(m)
+    for rows in _matrices(_row_tables(n, p, True), start, stop):
+        k = _profile(rows, p, memo)[0]
+        s = _nonzeros(rows)
         if 4 * k * s < n * n:
             violations.append(
-                {"n": n, "matrix": rows, "rank": k, "sparsity": s}
+                {"n": n, "matrix": [list(r) for r in rows], "rank": k, "sparsity": s}
             )
     return violations
 
@@ -112,24 +162,14 @@ def verify_sparsity_lower_bound(
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerificationReport:
     """Every nonzero-diagonal matrix satisfies sparsity >= n^2 / (4 rank)."""
-    started = time.perf_counter()
-    checked = 0
-    violations: list = []
-    for n in range(1, n_max + 1):
-        total = _domain_size(n, p, True)
-        check_budget(total, enumeration_budget, f"matrix sweep at n={n}, p={p}")
-        spans = split_range(total, jobs)
-        for found in map_chunks(
-            _sparsity_worker, [(n, p, a, b) for a, b in spans], jobs
-        ):
-            violations.extend(found)
-        checked += total
+    checked, violations = _nonzero_diagonal_sweep(
+        _sparsity_worker, (), n_max, p, jobs, enumeration_budget
+    )
     return VerificationReport(
         lemma="sparsity-lower-bound",
         params={"n_max": n_max, "p": p},
         instances_checked=checked,
-        violations=_normalize(violations),
-        wall_time_s=time.perf_counter() - started,
+        violations=violations,
     )
 
 
@@ -137,39 +177,12 @@ def verify_sparsity_lower_bound(
 # sweep: counting matrices with sparse column and row bases
 
 def _census_worker(args) -> dict:
-    """Census counts of the matrices with index in [start, stop).
-
-    Rows and columns share one memo of (rank, min basis weight) keyed on the
-    sorted tuple of vectors.
-    """
+    """Census counts of the matrices with index in [start, stop)."""
     n, p, start, stop = args
-    size = p**n
-    digits = [
-        tuple((code // p**j) % p for j in range(n)) for code in range(size)
-    ]
-    profiles: dict[tuple, tuple[int, int]] = {}
+    memo: dict = {}
     counts: dict[tuple[int, int, int], int] = {}
-    for index in range(start, stop):
-        rows = []
-        rest = index
-        for _ in range(n):
-            rest, code = divmod(rest, size)
-            rows.append(digits[code])
-        profile = []
-        for vectors in (rows, zip(*rows)):
-            multiset = tuple(sorted(vectors))
-            found = profiles.get(multiset)
-            if found is None:
-                rank = mod_rank(multiset, p)
-                found = (rank, _min_basis_weight(multiset, rank, p))
-                profiles[multiset] = found
-            profile.append(found)
-        (k, row_weight), (column_rank, column_weight) = profile
-        if column_rank != k:
-            raise RuntimeError(
-                f"row rank {k} differs from column rank {column_rank} for rows {rows}"
-            )
-        key = (k, column_weight, row_weight)
+    for rows in _matrices(_row_tables(n, p, False), start, stop):
+        key = _matrix_profile(rows, p, memo)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -182,9 +195,10 @@ def basis_weight_census(
 ) -> dict[tuple[int, int, int], int]:
     """Counts of all n x n matrices by (rank, min column/row basis weights).
 
-    The enumeration is raw: every matrix is visited and counted on its own.
-    Only the (rank, min basis weight) of each multiset of row or column
-    vectors is memoized, within one call.
+    The enumeration is raw: every matrix is decoded from its index and
+    counted on its own. Only the (rank, min basis weight) of each multiset
+    of row or column vectors is memoized, within one worker chunk, and a
+    matrix whose row and column ranks disagree raises RuntimeError.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -208,7 +222,6 @@ def verify_sparse_basis_count(
     census: Optional[dict] = None,
 ) -> VerificationReport:
     """Exact count of rank-k matrices with ell-sparse bases is within its bound."""
-    started = time.perf_counter()
     if census is None:
         census = basis_weight_census(n, p, jobs, enumeration_budget)
     count = sum(
@@ -227,7 +240,6 @@ def verify_sparse_basis_count(
         params={"n": n, "k": k, "ell": ell, "p": p},
         instances_checked=_domain_size(n, p, False),
         violations=_normalize(violations),
-        wall_time_s=time.perf_counter() - started,
     )
 
 
@@ -235,40 +247,30 @@ def verify_sparse_basis_count(
 # sweep: principal-submatrix decomposition
 
 def _subsets(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i for i in range(n) if (mask >> i) & 1))
-    out.sort(key=len)
-    return out
+    """The nonempty subsets of range(n), smallest first."""
+    return [t for size in range(1, n + 1) for t in combinations(range(n), size)]
 
 
 def _submatrix_worker(args) -> list:
     n, p, k, start, stop = args
     subsets = _subsets(n)
+    memo: dict = {}
     violations = []
-    for idx in range(start, stop):
-        rows = _nonzero_diagonal_rows(n, p, idx)
-        m = FieldMatrix.from_rows(p, rows)
-        if m.rank() > k:
+    for rows in _matrices(_row_tables(n, p, True), start, stop):
+        if _profile(rows, p, memo)[0] > k:
             continue
-        found = False
         for t in subsets:
-            sub = FieldMatrix.from_rows(p, [[rows[i][j] for j in t] for i in t])
+            block = [tuple(rows[i][j] for j in t) for i in t]
+            k_prime, column_weight, row_weight = _matrix_profile(block, p, memo)
             n_prime = len(t)
-            k_prime = sub.rank()
             if k_prime * n > k * n_prime:
                 continue
-            s_prime = sparsity(sub)
             # ell = 2 s' k' / n' as a rational threshold: compare cleared of n'
-            bound = 2 * s_prime * k_prime
-            if (
-                _min_basis_weight(_column_vectors(sub), k_prime, p) * n_prime <= bound
-                and _min_basis_weight(sub.entries, k_prime, p) * n_prime <= bound
-            ):
-                found = True
+            bound = 2 * _nonzeros(block) * k_prime
+            if column_weight * n_prime <= bound and row_weight * n_prime <= bound:
                 break
-        if not found:
-            violations.append({"n": n, "k": k, "matrix": rows})
+        else:
+            violations.append({"n": n, "k": k, "matrix": [list(r) for r in rows]})
     return violations
 
 
@@ -280,24 +282,14 @@ def verify_principal_submatrix_decomposition(
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerificationReport:
     """Every rank<=k nonzero-diagonal matrix has a qualifying principal block."""
-    started = time.perf_counter()
-    checked = 0
-    violations: list = []
-    for n in range(1, n_max + 1):
-        total = _domain_size(n, p, True)
-        check_budget(total, enumeration_budget, f"matrix sweep at n={n}, p={p}")
-        spans = split_range(total, jobs)
-        for found in map_chunks(
-            _submatrix_worker, [(n, p, k, a, b) for a, b in spans], jobs
-        ):
-            violations.extend(found)
-        checked += total
+    checked, violations = _nonzero_diagonal_sweep(
+        _submatrix_worker, (k,), n_max, p, jobs, enumeration_budget
+    )
     return VerificationReport(
         lemma="principal-submatrix-decomposition",
         params={"n_max": n_max, "k": k, "p": p},
         instances_checked=checked,
-        violations=_normalize(violations),
-        wall_time_s=time.perf_counter() - started,
+        violations=violations,
     )
 
 
@@ -391,7 +383,6 @@ def verify_forest_bound(
     h = h_tree.n
     if n < h - 1:
         raise ValueError("need n >= h-1")
-    started = time.perf_counter()
     expected = h - 1
     sweep = exhaustive_g(n, h_tree, p, graph_budget=graph_budget, work_budget=work_budget)
     violations = []
@@ -423,7 +414,6 @@ def verify_forest_bound(
         params={"n": n, "h": h, "p": p},
         instances_checked=sweep.graphs_checked,
         violations=_normalize(violations),
-        wall_time_s=time.perf_counter() - started,
     )
 
 

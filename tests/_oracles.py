@@ -105,6 +105,16 @@ def oracle_basis_weight_census(n: int, p: int) -> dict[tuple[int, int, int], int
     return counts
 
 
+def oracle_nonzero_diagonal_matrices(n: int, p: int) -> list[list[list[int]]]:
+    """Every n x n matrix over GF(p) with a nonzero diagonal, as row lists."""
+    out = []
+    for flat in product(range(p), repeat=n * n):
+        rows = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+        if all(rows[i][i] for i in range(n)):
+            out.append(rows)
+    return out
+
+
 def oracle_fraction_rank(rows: list[list]) -> int:
     """Rank over the rationals by plain Fraction Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -45,7 +45,7 @@ from minranklab.verifiers import (
 
 from _oracles import oracle_minrank
 
-TIMESTAMP_KEYS = {"started_at", "finished_at", "wall_time_s"}
+TIMESTAMP_KEYS = {"started_at", "finished_at"}
 
 
 def _scrub(obj):

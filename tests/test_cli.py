@@ -10,7 +10,7 @@ from minranklab.graphs import cycle_graph
 from minranklab.kneser import pattern_polynomial_coefficients
 from minranklab.matrices import FieldMatrix
 
-TIMESTAMP_KEYS = {"started_at", "finished_at", "wall_time_s"}
+TIMESTAMP_KEYS = {"started_at", "finished_at"}
 
 # `kneser build --d 6 --s 3 --m 1 --emit-matrix`: P(t) = (t-1)(t-2) is 2 on the
 # diagonal (t = 3) and between complementary sets (t = 0), 0 elsewhere

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -25,7 +27,41 @@ from minranklab.verifiers import (
     verify_sparsity_lower_bound,
 )
 
-from _oracles import oracle_basis_weight_census
+from _oracles import (
+    _plain_mod_rank,
+    oracle_basis_weight_census,
+    oracle_nonzero_diagonal_matrices,
+)
+
+
+def _sorted(violations: list) -> list:
+    return sorted(violations, key=lambda v: json.dumps(v, sort_keys=True))
+
+
+class TestMatrixDecoder:
+    @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("nonzero_diagonal", [False, True])
+    def test_visits_each_matrix_once(self, n, p, nonzero_diagonal):
+        total = verifiers._domain_size(n, p, nonzero_diagonal)
+        tables = verifiers._row_tables(n, p, nonzero_diagonal)
+        seen = [tuple(rows) for rows in verifiers._matrices(tables, 0, total)]
+        expected = {
+            tuple(flat[i * n:(i + 1) * n] for i in range(n))
+            for flat in product(range(p), repeat=n * n)
+            if not nonzero_diagonal or all(flat[i * (n + 1)] for i in range(n))
+        }
+        assert len(seen) == len(set(seen)) == total
+        assert set(seen) == expected
+
+    def test_chunks_concatenate_to_the_whole_range(self):
+        tables = verifiers._row_tables(3, 2, True)
+        whole = list(verifiers._matrices(tables, 0, 64))
+        chunked = [
+            rows
+            for start, stop in [(0, 5), (5, 40), (40, 64)]
+            for rows in verifiers._matrices(tables, start, stop)
+        ]
+        assert chunked == whole
 
 
 class TestSparsityLowerBound:
@@ -49,6 +85,30 @@ class TestSparsityLowerBound:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             verify_sparsity_lower_bound(5, 2)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_non_prime_field_refused(self, p):
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            verify_sparsity_lower_bound(2, p)
+
+    def test_rank_zero_reports_every_matrix_with_its_sparsity(self, monkeypatch):
+        monkeypatch.setattr(verifiers, "mod_rank", lambda rows, p: 0)
+        report = verify_sparsity_lower_bound(2, 3)
+        expected = [
+            {
+                "n": n,
+                "matrix": rows,
+                "rank": 0,
+                "sparsity": sum(1 for row in rows for x in row if x),
+            }
+            for n in (1, 2)
+            for rows in oracle_nonzero_diagonal_matrices(n, 3)
+        ]
+        assert report.instances_checked == len(expected) == 38
+        assert report.violations == _sorted(expected)
+
+    def test_jobs_invariant(self):
+        assert verify_sparsity_lower_bound(3, 2, jobs=2) == verify_sparsity_lower_bound(3, 2)
 
 
 class TestSparseBasisCount:
@@ -149,6 +209,29 @@ class TestPrincipalSubmatrix:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             verify_principal_submatrix_decomposition(5, 1, 2)
+
+    def test_non_prime_field_refused(self):
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            verify_principal_submatrix_decomposition(2, 1, 4)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_qualifying_block_reports_every_rank_k_matrix(self, monkeypatch, k):
+        # basis weights above every threshold 2 s' k' / n' leave no block
+        monkeypatch.setattr(verifiers, "_min_basis_weight", lambda cols, rank, p: 10**6)
+        report = verify_principal_submatrix_decomposition(3, k, 2)
+        expected = [
+            {"n": n, "k": k, "matrix": rows}
+            for n in (1, 2, 3)
+            for rows in oracle_nonzero_diagonal_matrices(n, 2)
+            if _plain_mod_rank(rows, 2) <= k
+        ]
+        assert report.instances_checked == 1 + 4 + 64
+        assert report.violations == _sorted(expected)
+
+    def test_jobs_invariant(self):
+        assert verify_principal_submatrix_decomposition(
+            3, 2, 2, jobs=2
+        ) == verify_principal_submatrix_decomposition(3, 2, 2)
 
 
 class TestForestBound:
