@@ -37,10 +37,11 @@ from .graphs import (
     underlying_graph,
 )
 from .graphio import (
-    digraph_from_edge_text,
-    digraph_to_edge_text,
-    graph_from_graph6,
     graph_to_graph6,
+    read_digraph,
+    read_graph6,
+    write_digraph,
+    write_graph6,
 )
 from .kneser import (
     KneserParams,
@@ -129,11 +130,9 @@ def _load_graph_arg(text: str):
         pass
     if not os.path.exists(text):
         raise ValueError(f"{text!r} is neither a built-in graph name nor a file")
-    with open(text, "r", encoding="ascii") as fh:
-        content = fh.read()
     if text.endswith(".edges"):
-        return digraph_from_edge_text(content)
-    return graph_from_graph6(content.strip().splitlines()[0])
+        return read_digraph(text)
+    return read_graph6(text)
 
 
 def _resolve_seed(value: Optional[int]) -> int:
@@ -331,22 +330,15 @@ def _run_estimate(args):
 def _run_convert(args):
     src, dst = args.infile, args.out
     if src.endswith(".g6"):
-        with open(src, "r", encoding="ascii") as fh:
-            graph = graph_from_graph6(fh.readline())
-        payload: object = graph
+        payload: object = read_graph6(src)
     elif src.endswith(".edges"):
-        with open(src, "r", encoding="ascii") as fh:
-            payload = digraph_from_edge_text(fh.read())
+        payload = read_digraph(src)
     else:
         raise ValueError(f"unsupported input extension on {src!r} (.g6 or .edges)")
     if dst.endswith(".g6"):
-        graph = payload if isinstance(payload, Graph) else underlying_graph(payload)
-        with open(dst, "w", encoding="ascii") as fh:
-            fh.write(graph_to_graph6(graph) + "\n")
+        write_graph6(payload if isinstance(payload, Graph) else underlying_graph(payload), dst)
     elif dst.endswith(".edges"):
-        digraph = payload if isinstance(payload, Digraph) else bidirected(payload)
-        with open(dst, "w", encoding="ascii") as fh:
-            fh.write(digraph_to_edge_text(digraph))
+        write_digraph(payload if isinstance(payload, Digraph) else bidirected(payload), dst)
     else:
         raise ValueError(f"unsupported output extension on {dst!r} (.g6 or .edges)")
     return {"read": src, "wrote": dst}, False

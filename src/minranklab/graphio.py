@@ -106,8 +106,9 @@ def write_graph6(g: Graph, path: str) -> None:
 
 
 def read_graph6(path: str) -> Graph:
+    """The graph on the first nonblank line of a graph6 file."""
     with open(path, "r", encoding="ascii") as fh:
-        return graph_from_graph6(fh.readline())
+        return graph_from_graph6(next((line for line in fh if line.strip()), ""))
 
 
 def write_digraph(d: Digraph, path: str) -> None:

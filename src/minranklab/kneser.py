@@ -5,13 +5,13 @@ intersection has fewer than m elements. The representing matrix M holds the
 integer polynomial P(t) = prod_{j=m}^{s-1} (t - j) at the pairwise
 intersection sizes, as Python ints.
 
-M = L R^T over the subsets U with |U| <= s-m, with L[A][U] = [U ⊆ A] and
-R[B][U] = c_{|U|} [U ⊆ B]. The c_u are the coefficients of the multilinear
-expansion of the product, which depend only on the monomial degree and are
-the finite differences of P at 0. The width rank_bound bounds the rank. The
-product is checked against M over all N^2 pairs with bitsets: row a of L is
-a bitset L_a, row b of R splits into bitsets R_b^v of the columns holding v,
-and the entry is sum_v v * popcount(L_a & R_b^v).
+M = L diag(c_|U|) L^T over the subsets U with |U| <= s-m, with L[A][U] =
+[U ⊆ A]. The c_u are the finite differences of P at 0, so by Newton's
+forward-difference identity P(t) = sum_u c_u C(t, u), and C(|A ∩ B|, u)
+counts the u-subsets U of both A and B. The width rank_bound bounds the rank.
+L is held as one bitset L_a per vertex, and S_u marks the columns of size u,
+so the product is checked against M over all N^2 pairs as
+sum_u c_u * popcount(L_a & L_b & S_u).
 
 The exact rank over Q is a closed form. M depends only on |A ∩ B|, so it
 lies in the Bose-Mesner algebra of the Johnson scheme J(d, s): on the j-th
@@ -143,8 +143,10 @@ class KneserWitness:
     """Representation matrix of K(d,s,m) with its verified rank certificates.
 
     matrix holds the integer entries P(|A ∩ B|). It equals
-    factor_left @ factor_right^T exactly (checked over all pairs), so its
-    rank is at most their common column count rank_bound. With the rank
+    L diag(c_|U|) L^T exactly (checked over all pairs), L being the inclusion
+    matrix of the vertices against the subsets U with |U| <= s-m, so its rank
+    is at most rank_bound, the column count of L. params and coefficients
+    determine that factorization, so it is not stored. With the rank
     checked, rank is the exact rank over the rationals, read off the
     Johnson-scheme spectrum and matched by the rank mod CERTIFICATE_PRIME;
     it is None otherwise.
@@ -153,8 +155,6 @@ class KneserWitness:
     params: KneserParams
     vertices: tuple[int, ...]
     matrix: RationalMatrix
-    factor_left: RationalMatrix
-    factor_right: RationalMatrix
     coefficients: tuple[int, ...]
     rank_bound: int
     rank: Optional[int] = None
@@ -176,9 +176,9 @@ def representation_matrix(
     """Build and verify the representing matrix and its factorization.
 
     Structural invariants (diagonal value, zero pattern matching the graph,
-    factorization identity) are always verified. With check_rank, the exact
-    rank is spectral_rank(params), and the rank mod CERTIFICATE_PRIME of the
-    entries must equal it.
+    the identity M = L diag(c_|U|) L^T) are always verified. With
+    check_rank, the exact rank is spectral_rank(params), and the rank mod
+    CERTIFICATE_PRIME of the entries must equal it.
     """
     d, s, m = params.d, params.s, params.m
     check_budget(
@@ -193,18 +193,18 @@ def representation_matrix(
         tuple(poly[(ma & mb).bit_count()] for mb in masks) for ma in masks
     )
 
-    # factor columns: subsets of {0..d-1} of size <= s-m, ordered by (size, lex)
+    # columns: subsets of {0..d-1} of size <= s-m, ordered by (size, lex);
+    # bit j of incidence[a] is set iff column j is a subset of vertex a, and
+    # weights pairs c_u with the bitset of the columns of size u
     columns = [col for size in range(s - m + 1) for col in subset_masks(d, size)]
-    left_rows = tuple(
-        tuple(0 if col & ~ma else 1 for col in columns) for ma in masks
-    )
-    right_rows = tuple(
-        tuple(0 if col & ~ma else coeffs[col.bit_count()] for col in columns)
-        for ma in masks
-    )
-
-    _verify_structure(params, masks, entries, poly)
-    _verify_product(entries, left_rows, right_rows)
+    incidence = [
+        sum(1 << j for j, col in enumerate(columns) if not col & ~ma) for ma in masks
+    ]
+    weights = [
+        (c, sum(1 << j for j, col in enumerate(columns) if col.bit_count() == u))
+        for u, c in enumerate(coeffs)
+    ]
+    _verify_rows(params, masks, entries, incidence, weights)
 
     rank = None
     if check_rank:
@@ -222,22 +222,27 @@ def representation_matrix(
         params=params,
         vertices=tuple(masks),
         matrix=RationalMatrix(entries),
-        factor_left=RationalMatrix(left_rows),
-        factor_right=RationalMatrix(right_rows),
         coefficients=tuple(coeffs),
         rank_bound=params.rank_bound,
         rank=rank,
     )
 
 
-def _verify_structure(params, masks, entries, poly) -> None:
-    """Diagonal (s-m)! and, over all ordered pairs, zero exactly off the edges."""
-    s, m = params.s, params.m
-    diag = math.factorial(s - m)
-    if poly[s] != diag:
-        raise VerificationError("diagonal value is not (s-m)!")
-    for a, ma in enumerate(masks):
-        row = entries[a]
+def _verify_rows(params, masks, entries, incidence, weights) -> None:
+    """Check every pair (a, b) of entries, one row at a time.
+
+    Row a must hold (s-m)! on the diagonal, a zero exactly at the b != a with
+    |A ∩ B| >= m, and at every b the entry of L diag(c) L^T, which is
+    sum_u c_u * popcount(L_a & L_b & S_u) for the incidence bitsets L_a and
+    the (c_u, S_u) weights of the column sizes.
+    """
+    if len(incidence) != len(entries):
+        raise VerificationError(
+            f"factorization: {len(incidence)} incidence bitsets for {len(entries)} vertices"
+        )
+    m = params.m
+    diag = math.factorial(params.s - m)
+    for a, (ma, la, row) in enumerate(zip(masks, incidence, entries)):
         if row[a] != diag:
             raise VerificationError(f"bad diagonal at {a}")
         zeros = [x == 0 for x in row]
@@ -249,36 +254,14 @@ def _verify_structure(params, masks, entries, poly) -> None:
             raise VerificationError(
                 f"zero pattern mismatch at pair ({a},{b}), intersection {inter}"
             )
-
-
-def _verify_product(entries, left_rows, right_rows) -> None:
-    """Check entries == left @ right^T over all pairs, left being 0/1.
-
-    Row a of left is the bitset L_a; row b of right splits into the bitsets
-    R_b^v of its columns holding v, so the (a, b) entry of the product is
-    sum_v v * popcount(L_a & R_b^v).
-    """
-    width = len(entries[0]) if entries else 0
-    if len(left_rows) != len(entries) or len(right_rows) != width:
-        raise VerificationError("factorization: factor shapes do not fit the matrix")
-    left_bits = []
-    for a, row in enumerate(left_rows):
-        if not all(x == 0 or x == 1 for x in row):
-            raise VerificationError(f"factorization: left factor row {a} is not 0/1")
-        left_bits.append(sum(1 << j for j, x in enumerate(row) if x))
-    for b, (row, column) in enumerate(zip(right_rows, zip(*entries))):
-        by_value: dict = {}
-        for j, x in enumerate(row):
-            if x:
-                by_value[x] = by_value.get(x, 0) | 1 << j
-        product = [0] * len(left_bits)
-        for v, bits in by_value.items():
+        product = [0] * len(incidence)
+        for c, size_bits in weights:
+            la_u = la & size_bits
             product = [
-                acc + v * (la & bits).bit_count()
-                for acc, la in zip(product, left_bits)
+                acc + c * (la_u & lb).bit_count() for acc, lb in zip(product, incidence)
             ]
-        if product != list(column):
-            a = next(a for a, x in enumerate(column) if product[a] != x)
+        if product != list(row):
+            b = next(b for b, x in enumerate(row) if product[b] != x)
             raise VerificationError(f"factorization mismatch at pair ({a},{b})")
 
 

@@ -206,8 +206,8 @@ class RationalMatrix:
     """Dense matrix of exact rationals, entries as int or Fraction.
 
     from_rows converts every entry to a Fraction (lowest terms); an integer
-    matrix can hold its ints directly, which rank, transpose, matmul and the
-    text format all accept.
+    matrix can hold its ints directly, which rank, transpose and the text
+    format all accept.
     """
 
     entries: tuple[tuple[Union[int, Fraction], ...], ...]
@@ -246,17 +246,6 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        tother = other.transpose().entries
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in tother)
-                for row in self.entries
-            )
-        )
 
 
 Matrix = Union[FieldMatrix, RationalMatrix]

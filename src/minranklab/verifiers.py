@@ -7,11 +7,12 @@ finds, and reports reproducible parameters.
 The three matrix sweeps share one path. A table per row position lists the
 rows allowed there (all of GF(p)^n, or for the nonzero-diagonal domain the
 vectors nonzero at that position), and a matrix index is read digit by digit
-in the tables' lengths. Every matrix is visited and checked on its own;
-within one worker chunk only the (rank, min basis weight) of each multiset
-of vectors is memoized, which does not depend on the order of the vectors.
-The sparsity sweep reads the rank of the rows, the census the profiles of
-the rows and the columns, the submatrix sweep those of each principal block.
+in the tables' lengths. Every matrix is visited and checked on its own.
+The sparsity sweep needs only the rank of the rows and computes it directly.
+The census reads the profiles of the rows and the columns, the submatrix
+sweep those of each principal block; within one worker chunk only the
+(rank, min basis weight) of each multiset of vectors is memoized, which does
+not depend on the order of the vectors.
 Sweeps partition their index space across workers; violation lists are
 order-normalized so the output is schedule-independent.
 """
@@ -143,10 +144,9 @@ def _nonzero_diagonal_sweep(
 
 def _sparsity_worker(args) -> list:
     n, p, start, stop = args
-    memo: dict = {}
     violations = []
     for rows in _matrices(_row_tables(n, p, True), start, stop):
-        k = _profile(rows, p, memo)[0]
+        k = mod_rank(rows, p)
         s = _nonzeros(rows)
         if 4 * k * s < n * n:
             violations.append(

@@ -111,6 +111,16 @@ class TestMinrankCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("content", ["", "\n \n\n"])
+    def test_empty_graph_file_exit_1(self, capsys, tmp_path, content):
+        path = tmp_path / "empty.g6"
+        path.write_text(content)
+        code = main(["minrank", "exact", "--field", "2", "--graph", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: empty graph6 string\n"
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _ = run_cli(
             ["minrank", "exact", "--field", "2", "--graph", "K3", "--bogus"], capsys

@@ -81,6 +81,8 @@ def test_file_helpers(tmp_path):
     gpath = tmp_path / "c6.g6"
     write_graph6(g, str(gpath))
     assert read_graph6(str(gpath)) == g
+    gpath.write_text("\n  \n" + gpath.read_text())  # leading blank lines
+    assert read_graph6(str(gpath)) == g
     d = Digraph.from_arcs(3, [(0, 1), (2, 0)])
     dpath = tmp_path / "d.edges"
     write_digraph(d, str(dpath))

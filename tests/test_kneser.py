@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -156,11 +157,20 @@ class TestRepresentation:
                 assert w.matrix.entries[a][b] == direct
 
     def test_factorization_shape_and_product(self):
+        # L is the vertex-by-subset inclusion matrix over the subsets U with
+        # |U| <= s-m, D = diag(c_|U|), and M = L D L^T
         w = representation_matrix(KneserParams(5, 2, 1))
-        assert w.factor_left.rows == w.matrix.rows
-        assert w.factor_left.cols == w.rank_bound
-        product = w.factor_left.matmul(w.factor_right.transpose())
-        assert product == w.matrix
+        d, s, m = w.params.d, w.params.s, w.params.m
+        subsets = [set(u) for size in range(s - m + 1) for u in combinations(range(d), size)]
+        vertices = [{i for i in range(d) if ma >> i & 1} for ma in w.vertices]
+        left = [[int(u <= a) for u in subsets] for a in vertices]
+        diag = [w.coefficients[len(u)] for u in subsets]
+        assert len(subsets) == w.rank_bound
+        product = tuple(
+            tuple(sum(x * c * y for x, c, y in zip(ra, diag, rb)) for rb in left)
+            for ra in left
+        )
+        assert product == w.matrix.entries
 
     def test_rank_certificates_small_sweep(self):
         for d in (2, 4, 6):
@@ -236,8 +246,7 @@ class TestRankCertificate:
 
     def test_integer_entries(self):
         w = representation_matrix(KneserParams(6, 3, 1))
-        for mat in (w.matrix, w.factor_left, w.factor_right):
-            assert all(type(x) is int for row in mat.entries for x in row)
+        assert all(type(x) is int for row in w.matrix.entries for x in row)
 
 
 class TestWitnessChecks:
@@ -260,13 +269,20 @@ class TestWitnessChecks:
         with pytest.raises(VerificationError, match="zero pattern mismatch"):
             representation_matrix(KneserParams(6, 3, 1))
 
-    def test_left_factor_must_be_zero_one(self):
-        entries = ((2,),)
-        kneser._verify_product(entries, ((1,),), ((2,),))
-        with pytest.raises(VerificationError, match="not 0/1"):
-            kneser._verify_product(entries, ((2,),), ((1,),))
-        with pytest.raises(VerificationError, match="shapes"):
-            kneser._verify_product(entries, ((1,),), ())
+    def test_row_check_rejects_a_wrong_incidence_or_weight(self):
+        # K(2,1,0): vertices {0}, {1}; columns (), {0}, {1}; P(t) = t = C(t, 1)
+        params = KneserParams(2, 1, 0)
+        masks = [0b01, 0b10]
+        entries = ((1, 0), (0, 1))
+        incidence = [0b011, 0b101]
+        weights = [(0, 0b001), (1, 0b110)]
+        kneser._verify_rows(params, masks, entries, incidence, weights)
+        with pytest.raises(VerificationError, match=r"^factorization mismatch at pair \(0,0\)"):
+            kneser._verify_rows(params, masks, entries, [0b001, 0b101], weights)
+        with pytest.raises(VerificationError, match=r"^factorization mismatch at pair \(0,0\)"):
+            kneser._verify_rows(params, masks, entries, incidence, [(1, 0b001), (1, 0b110)])
+        with pytest.raises(VerificationError, match="incidence bitsets for 2 vertices"):
+            kneser._verify_rows(params, masks, entries, incidence[:1], weights)
 
     def test_rank_outside_the_certificate_fails(self, monkeypatch):
         # K(6,3,1) has rank 10; a computed rank on either side of it is a lie

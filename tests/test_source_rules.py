@@ -18,22 +18,42 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _imported_modules(path: Path):
+    """(line, top-level name) of every absolute import in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name.split(".")[0]
+
+
 def test_only_the_cli_reads_the_clock():
     # timings vary between runs, so results computed below the CLI stay
     # byte-identical across reruns only if nothing there reads the clock
     package = Path(minranklab.__file__).parent
-    clocks = {"time", "datetime"}
-    found = []
-    for path in sorted(package.rglob("*.py")):
-        if path.name == "cli.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] in clocks for name in names):
-                found.append(f"{path.relative_to(package)}:{node.lineno}")
+    found = [
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "cli.py"
+        for line, name in _imported_modules(path)
+        if name in {"time", "datetime"}
+    ]
+    assert found == []
+
+
+def test_only_parallel_starts_processes():
+    # parallel.map_chunks caps its pool at the usable CPU count, so a module
+    # that made its own pool or process could fork one per requested job
+    package = Path(minranklab.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "parallel.py"
+        for line, name in _imported_modules(path)
+        if name in {"concurrent", "multiprocessing"}
+    ]
     assert found == []

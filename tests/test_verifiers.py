@@ -110,6 +110,19 @@ class TestSparsityLowerBound:
     def test_jobs_invariant(self):
         assert verify_sparsity_lower_bound(3, 2, jobs=2) == verify_sparsity_lower_bound(3, 2)
 
+    def test_no_basis_searches(self, monkeypatch):
+        # the sweep reads only the rank, so it runs no sparse-basis search
+        calls = []
+        search = verifiers._min_basis_weight
+
+        def counted(cols, k, p):
+            calls.append(k)
+            return search(cols, k, p)
+
+        monkeypatch.setattr(verifiers, "_min_basis_weight", counted)
+        assert verify_sparsity_lower_bound(4, 2).ok
+        assert calls == []
+
 
 class TestSparseBasisCount:
     def test_two_by_two_point(self):
