@@ -563,8 +563,9 @@ def underlying_graph(d: Digraph) -> Graph:
     return Graph(d.n, tuple(row & incoming[i] for i, row in enumerate(d.adj)))
 
 
-def union_graph(d: Digraph) -> Graph:
-    """Undirected graph keeping (i,j) when at least one arc is present."""
+def union_graph(d: Graph | Digraph) -> Graph:
+    """Undirected graph keeping (i,j) when at least one arc is present; a
+    Graph's union graph equals the graph."""
     rows = list(d.adj)
     for i, row in enumerate(d.adj):
         for j in _bits(row):

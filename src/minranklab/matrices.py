@@ -346,6 +346,8 @@ def parse_matrix_text(text: str) -> Matrix:
     if len(tokens) < 3:
         raise ValueError("matrix text needs a 'rows cols modulus' header")
     rows, cols, modulus = int(tokens[0]), int(tokens[1]), int(tokens[2])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix dimensions {rows}x{cols} are negative")
     body = tokens[3:]
     if len(body) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(body)}")

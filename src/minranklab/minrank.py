@@ -69,6 +69,12 @@ class Bounds:
     upper_exact: bool
 
 
+def _cover_graph(g: GraphLike) -> Graph:
+    """The complement of g's two-way graph: its proper colorings are the
+    clique covers behind the upper bound and the all-ones-block witness."""
+    return complement(underlying_graph(g) if isinstance(g, Digraph) else g)
+
+
 def minrank_bounds(g: GraphLike, alpha_limit: int = 40, chi_limit: int = 18) -> Bounds:
     """Independence-number lower bound and clique-cover upper bound.
 
@@ -76,12 +82,8 @@ def minrank_bounds(g: GraphLike, alpha_limit: int = 40, chi_limit: int = 18) -> 
     lower bound falls back to a greedy independent set and the upper bound to
     degeneracy+1 of the complement, flagged as inexact.
     """
-    if isinstance(g, Digraph):
-        lower_graph = union_graph(g)
-        cover_graph = complement(underlying_graph(g))
-    else:
-        lower_graph = g
-        cover_graph = complement(g)
+    lower_graph = union_graph(g)
+    cover_graph = _cover_graph(g)
     if g.n <= alpha_limit:
         lower, lower_exact = independence_number(lower_graph), True
     else:
@@ -234,11 +236,7 @@ def _coloring_witness(g: GraphLike, p: int, upper: int) -> tuple[int, FieldMatri
     chromatic number is exactly `upper` (a coloring with fewer colors would
     be a lower-rank witness) and is not recomputed.
     """
-    if isinstance(g, Digraph):
-        cover_graph = complement(underlying_graph(g))
-    else:
-        cover_graph = complement(g)
-    colors = optimal_coloring(cover_graph, upper)
+    colors = optimal_coloring(_cover_graph(g), upper)
     value = max(colors) + 1 if colors else 0
     rows = [
         [1 if colors[i] == colors[j] else 0 for j in range(g.n)]

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .budgets import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -202,6 +202,8 @@ def basis_weight_census(
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    if n < 0:
+        raise ValueError(f"matrix size {n} is negative")
     total = _domain_size(n, p, False)
     check_budget(total, enumeration_budget, f"matrix census at n={n}, p={p}")
     spans = split_range(total, jobs)
@@ -305,47 +307,47 @@ class ExhaustiveExtremal:
     evaluated: int
 
 
-def _dedup_by_isomorphism(graphs: Sequence[Graph]) -> list[Graph]:
-    """The first graph of each isomorphism class, in input order."""
-    reps: dict[tuple, Graph] = {}
-    for g in graphs:
-        reps.setdefault(canonical_key(g), g)
-    return list(reps.values())
-
-
 def exhaustive_g(
     n: int,
     h_graph: Graph,
     p: int,
-    dedup: Optional[bool] = None,
+    dedup: bool = True,
     graph_budget: int = DEFAULT_ENUMERATION_BUDGET,
     work_budget: int = DEFAULT_SOLVER_BUDGET,
 ) -> ExhaustiveExtremal:
     """Maximum exact minrank over all n-vertex graphs with H-free complement.
 
-    Graphs are enumerated raw at n <= 5; from n = 6 on, the accepted graphs
-    are deduplicated up to isomorphism before the solver runs, since minrank
-    is isomorphism-invariant: one dict insert per graph keyed by
-    `canonical_key`, keeping each class's first graph in edge-mask order.
-    Either way the witness is the accepted graph of smallest edge mask among
-    those attaining the maximum.
+    For each edge mask the sweep builds only the complement, tests it for H
+    and keys it by `canonical_key`; complementing preserves isomorphism, so
+    the keys are the accepted graphs' isomorphism classes at every n. Minrank
+    is isomorphism-invariant, so the solver runs once per class, on its
+    smallest edge mask, and the witness is the accepted graph of smallest
+    edge mask attaining the maximum. `accepted` counts labeled graphs,
+    `evaluated` classes.
+
+    `dedup` stays only so that `dedup=True` calls keep working; `dedup=False`
+    asked for the removed solve-every-graph path and is refused.
     """
+    if not dedup:
+        raise ValueError("exhaustive_g always deduplicates by isomorphism class")
     total = 1 << (n * (n - 1) // 2)
     check_budget(total, graph_budget, f"graph sweep at n={n}")
-    if dedup is None:
-        dedup = n >= 6
-    accepted_graphs = []
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    full = total - 1
+    reps: dict[tuple, int] = {}
+    accepted = 0
     for mask in range(total):
-        g = Graph.from_edge_mask(n, mask)
-        if contains_subgraph(complement(g), h_graph):
+        comp = Graph.from_edge_mask(n, full ^ mask)
+        if contains_subgraph(comp, h_graph):
             continue
-        accepted_graphs.append(g)
-    if not accepted_graphs:
+        accepted += 1
+        reps.setdefault(canonical_key(comp), mask)
+    if not reps:
         raise ValueError("no graph on n vertices has an H-free complement")
-    pool = _dedup_by_isomorphism(accepted_graphs) if dedup else accepted_graphs
     best_value = -1
-    best_graph = pool[0]
-    for g in pool:
+    for mask in reps.values():
+        g = Graph.from_edge_mask(n, mask)
         value = minrank_exact(g, p, work_budget).value
         if value > best_value:
             best_value = value
@@ -354,8 +356,8 @@ def exhaustive_g(
         value=best_value,
         witness=best_graph,
         graphs_checked=total,
-        accepted=len(accepted_graphs),
-        evaluated=len(pool),
+        accepted=accepted,
+        evaluated=len(reps),
     )
 
 
@@ -433,20 +435,21 @@ class SamplingEstimate:
     seed: int
 
 
-def _estimate_worker(args):
-    n, p, h_graph, edge_prob, seeds, start, stop, work_budget = args
-    best: Optional[tuple[int, int, Graph]] = None
-    accepted = 0
-    for idx in range(start, stop):
-        digraph = sample_digraph(n, edge_prob, seeds[idx])
-        g = underlying_graph(digraph)
+def _sample_graph(n: int, edge_prob: float, seed: int) -> Graph:
+    return underlying_graph(sample_digraph(n, edge_prob, seed))
+
+
+def _estimate_worker(args) -> list[Optional[int]]:
+    """Per seed: the sample's minrank, or None when its complement has H."""
+    n, p, h_graph, edge_prob, seeds, work_budget = args
+    values = []
+    for s in seeds:
+        g = _sample_graph(n, edge_prob, s)
         if contains_subgraph(complement(g), h_graph):
-            continue
-        accepted += 1
-        value = minrank_exact(g, p, work_budget).value
-        if best is None or value > best[0]:
-            best = (value, idx, g)
-    return best, accepted
+            values.append(None)
+        else:
+            values.append(minrank_exact(g, p, work_budget).value)
+    return values
 
 
 def estimate_g(
@@ -464,37 +467,31 @@ def estimate_g(
     Each sample draws a random digraph (arc probability edge_prob), keeps the
     bidirected underlying graph, rejects it unless its complement avoids the
     pattern, and solves the survivors exactly. Deterministic per seed: sample
-    i uses the i-th derived seed regardless of worker partitioning.
+    i uses the i-th derived seed regardless of worker partitioning, and the
+    witness is the first sample attaining the maximum, redrawn from its seed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     seeds = [rng.getrandbits(63) for _ in range(samples)]
     spans = split_range(samples, jobs)
-    results = map_chunks(
+    chunks = map_chunks(
         _estimate_worker,
-        [(n, p, h_graph, edge_prob, seeds, a, b, work_budget) for a, b in spans],
+        [(n, p, h_graph, edge_prob, seeds[a:b], work_budget) for a, b in spans],
         jobs,
     )
-    accepted = sum(acc for _, acc in results)
-    best: Optional[tuple[int, int, Graph]] = None
-    for candidate, _ in results:
-        if candidate is None:
-            continue
-        if (
-            best is None
-            or candidate[0] > best[0]
-            or (candidate[0] == best[0] and candidate[1] < best[1])
-        ):
-            best = candidate
+    values = [v for chunk in chunks for v in chunk]
+    # the first sample attaining the maximum: the largest (value, -index)
+    scored = [(v, -i) for i, v in enumerate(values) if v is not None]
+    best = max(scored, default=None)
     return SamplingEstimate(
         n=n,
         p=p,
         samples=samples,
-        accepted=accepted,
-        acceptance_rate=accepted / samples,
+        accepted=len(scored),
+        acceptance_rate=len(scored) / samples,
         best=None if best is None else best[0],
-        witness=None if best is None else best[2],
+        witness=None if best is None else _sample_graph(n, edge_prob, seeds[-best[1]]),
         edge_prob=edge_prob,
         seed=seed,
     )

@@ -193,6 +193,38 @@ def oracle_multilinear_coefficients(d: int, s: int, m: int) -> dict[int, int]:
     return poly
 
 
+def oracle_extremal(n: int, h: Graph) -> list[list[int]]:
+    """The edge masks of the n-vertex graphs whose complement has no copy of
+    h, grouped into isomorphism classes; classes and their masks both in
+    increasing mask order.
+
+    Every labeled graph is built in networkx from its mask over the pairs in
+    lexicographic order, tested with a subgraph monomorphism search, and
+    compared with each class found so far by nx.is_isomorphic.
+    """
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    pairs = list(combinations(range(n), 2))
+    pattern = nx.Graph()
+    pattern.add_nodes_from(range(h.n))
+    pattern.add_edges_from(h.edges())
+    classes: list[tuple[nx.Graph, list[int]]] = []
+    for mask in range(1 << len(pairs)):
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(pr for i, pr in enumerate(pairs) if mask >> i & 1)
+        if GraphMatcher(nx.complement(g), pattern).subgraph_is_monomorphic():
+            continue
+        for rep, masks in classes:
+            if nx.is_isomorphic(rep, g):
+                masks.append(mask)
+                break
+        else:
+            classes.append((g, [mask]))
+    return [masks for _, masks in classes]
+
+
 def geometric_sum_direct(r: Fraction, lo: int, hi: int) -> Fraction:
     """sum of r^i for i in [lo, hi], term by term."""
     total = Fraction(0)

@@ -300,6 +300,13 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: modulus 4 is not prime\n"
 
+    def test_count_negative_n_exit_1(self, capsys):
+        code = main(["verify", "lemma", "--id", "count", "--n", "-1", "--field", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: matrix size -1 is negative\n"
+
     def test_count_sweep_lines(self, capsys):
         code, out = run_cli(
             ["verify", "lemma", "--id", "count", "--n", "2", "--field", "2"], capsys

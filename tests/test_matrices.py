@@ -218,3 +218,8 @@ class TestTextFormat:
             parse_matrix_text("2 2")
         with pytest.raises(ValueError):
             parse_matrix_text("2 2 0\n1 2 3\n")
+
+    def test_rejects_negative_dimensions(self):
+        # (-1) * (-1) = 1 would otherwise match the one body token
+        with pytest.raises(ValueError, match="negative"):
+            parse_matrix_text("-1 -1 2\n5")

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -8,13 +9,19 @@ from minranklab import verifiers
 from minranklab.budgets import BudgetExceededError
 from minranklab.graphio import graph_to_graph6
 from minranklab.graphs import (
+    Graph,
+    complement,
     complete_graph,
+    contains_subgraph,
     cycle_graph,
     named_graph,
     path_graph,
+    sample_digraph,
     star_graph,
+    underlying_graph,
 )
 from minranklab.matrices import FieldMatrix, sparsity
+from minranklab.minrank import minrank_exact
 from minranklab.verifiers import (
     basis_weight_census,
     estimate_g,
@@ -30,6 +37,7 @@ from minranklab.verifiers import (
 from _oracles import (
     _plain_mod_rank,
     oracle_basis_weight_census,
+    oracle_extremal,
     oracle_nonzero_diagonal_matrices,
 )
 
@@ -178,6 +186,10 @@ class TestBasisWeightCensus:
         with pytest.raises(ValueError, match="modulus 4 is not prime"):
             basis_weight_census(9, 4)
 
+    def test_negative_size_refused_before_budget(self):
+        with pytest.raises(ValueError, match="matrix size -1 is negative"):
+            basis_weight_census(-1, 2)
+
     def test_one_search_per_vector_multiset_per_call(self, monkeypatch):
         # C(16 + 3, 4) = 3876 multisets of four vectors of GF(2)^4; a second
         # call searches them all again, so the memo lives for one call only
@@ -274,15 +286,34 @@ class TestExhaustive:
         assert exhaustive_g(4, complete_graph(3), 2).value == 2
         assert exhaustive_g(5, complete_graph(3), 2).value == 3
 
-    def test_dedup_matches_raw(self):
-        for n in (3, 4, 5):
-            for pattern in ("K3", "P3", "star3"):
-                h = named_graph(pattern)
-                raw = exhaustive_g(n, h, 2, dedup=False)
-                slim = exhaustive_g(n, h, 2, dedup=True)
-                assert (raw.value, raw.witness) == (slim.value, slim.witness)
-                assert slim.evaluated < raw.evaluated
-                assert raw.accepted == slim.accepted
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("pattern", ["K3", "P3", "star3"])
+    def test_matches_networkx_oracle(self, n, pattern, monkeypatch):
+        h = named_graph(pattern)
+        classes = oracle_extremal(n, h)
+        accepted = sorted(mask for masks in classes for mask in masks)
+        values = {
+            mask: minrank_exact(Graph.from_edge_mask(n, mask), 2).value for mask in accepted
+        }
+        best = max(values.values())
+        solved = []
+        solve = verifiers.minrank_exact
+
+        def counted(g, p, work_budget):
+            solved.append(g.edge_mask())
+            return solve(g, p, work_budget)
+
+        monkeypatch.setattr(verifiers, "minrank_exact", counted)
+        result = exhaustive_g(n, h, 2)
+        assert (result.accepted, result.evaluated) == (len(accepted), len(classes))
+        assert result.value == best
+        assert result.witness.edge_mask() == min(m for m in accepted if values[m] == best)
+        # one solve per class, on the class's smallest mask, in mask order
+        assert solved == [masks[0] for masks in classes]
+
+    def test_dedup_false_refused(self):
+        with pytest.raises(ValueError, match="always deduplicates"):
+            exhaustive_g(3, complete_graph(3), 2, dedup=False)
 
     def test_triangle_case_at_six(self):
         result = exhaustive_g(6, complete_graph(3), 2)
@@ -336,6 +367,26 @@ class TestEstimate:
         a = estimate_g(5, complete_graph(3), 2, samples=300, seed=9, jobs=1)
         b = estimate_g(5, complete_graph(3), 2, samples=300, seed=9, jobs=4)
         assert a == b
+
+    def test_witness_is_first_maximum(self):
+        n, h, samples, seed = 5, complete_graph(3), 300, 0
+        rng = random.Random(seed)
+        graphs = [
+            underlying_graph(sample_digraph(n, 0.5, rng.getrandbits(63)))
+            for _ in range(samples)
+        ]
+        values = [
+            None if contains_subgraph(complement(g), h) else minrank_exact(g, 2).value
+            for g in graphs
+        ]
+        best = max(v for v in values if v is not None)
+        maximizers = [g for g, v in zip(graphs, values) if v == best]
+        assert maximizers[0] != maximizers[-1]  # the tie-break decides
+        for jobs in (1, 2):
+            est = estimate_g(n, h, 2, samples=samples, seed=seed, jobs=jobs)
+            assert est.best == best
+            assert est.accepted == sum(v is not None for v in values)
+            assert est.witness == maximizers[0]
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
