@@ -9,19 +9,17 @@ from .budgets import BudgetExceededError, gaussian_binomial
 from .graphs import (
     Digraph,
     Graph,
+    canonical_key,
     chromatic_number,
     complement,
     complete_graph,
     complete_multipartite,
     contains_subgraph,
-    count_labeled_copies,
     cycle_graph,
     degeneracy,
     empty_graph,
     independence_number,
-    induced_subgraph,
     is_forest,
-    is_isomorphic,
     is_tree,
     min_odd_cycle_at_most,
     named_graph,
@@ -63,7 +61,6 @@ from .matrices import (
     FieldMatrix,
     RationalMatrix,
     format_matrix_text,
-    has_sparse_bases,
     parse_matrix_text,
     sparsity,
 )

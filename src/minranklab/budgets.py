@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import math
+
+
+def _readable(x: int) -> str:
+    """x in decimal, or as a power of ten past about 4,000 digits, where
+    Python refuses to convert an int to a string."""
+    if x.bit_length() <= 13_000:
+        return str(x)
+    exponent = int((x.bit_length() - 1) * math.log10(2))  # floor(log10(x)), give or take one
+    while 10**exponent > x:
+        exponent -= 1
+    while 10 ** (exponent + 1) <= x:
+        exponent += 1
+    return f"about 10^{exponent}"
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when an exact computation would exceed its work budget."""
 
     def __init__(self, message: str, estimate: int, budget: int) -> None:
-        super().__init__(f"{message} (estimated work {estimate}, budget {budget})")
+        super().__init__(
+            f"{message} (estimated work {_readable(estimate)}, budget {_readable(budget)})"
+        )
         self.estimate = estimate
         self.budget = budget
 

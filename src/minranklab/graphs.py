@@ -3,7 +3,9 @@
 Vertices are 0..n-1 and every adjacency row is a Python int used as a bitset,
 which keeps the exhaustive searches in the rest of the package cheap. All
 graph values are immutable after construction, so they can be shared freely
-across worker processes.
+across worker processes. Besides constructors, the module answers subgraph
+containment, shortest odd cycles, exact independence and chromatic numbers,
+and an isomorphism-invariant canonical key.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class Digraph:
             rows[u] |= 1 << v
         return cls(n, tuple(rows))
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u])]
 
@@ -221,19 +220,10 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
     Not-necessarily-induced containment, answered by backtracking over
     injective maps with h's vertices placed in descending-degree order.
     """
-    return _find_embedding(g, h, count_all=False) > 0
-
-
-def count_labeled_copies(g: Graph, h: Graph) -> int:
-    """Number of injective edge-preserving maps from h into g (labeled copies)."""
-    return _find_embedding(g, h, count_all=True)
-
-
-def _find_embedding(g: Graph, h: Graph, count_all: bool) -> int:
     if h.n == 0:
         raise ValueError("pattern graph needs at least one vertex")
     if h.n > g.n:
-        return 0
+        return False
     order = sorted(range(h.n), key=lambda v: -h.degree(v))
     placed_mask = [0] * h.n  # h-neighbors of order[i] among order[:i]
     for i, v in enumerate(order):
@@ -241,13 +231,10 @@ def _find_embedding(g: Graph, h: Graph, count_all: bool) -> int:
             if h.has_edge(v, order[j]):
                 placed_mask[i] |= 1 << j
     image = [0] * h.n
-    count = 0
 
     def extend(i: int, used: int) -> bool:
-        nonlocal count
         if i == h.n:
-            count += 1
-            return not count_all
+            return True
         need = placed_mask[i]
         for cand in range(g.n):
             bit = 1 << cand
@@ -267,8 +254,7 @@ def _find_embedding(g: Graph, h: Graph, count_all: bool) -> int:
                     return True
         return False
 
-    extend(0, 0)
-    return count
+    return extend(0, 0)
 
 
 def min_odd_cycle_at_most(g: Graph, ell: int) -> Optional[int]:
@@ -444,20 +430,6 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.edge_count() == g.n - 1 and is_forest(g)
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Induced subgraph on the given vertices, renumbered in the given order."""
-    if len(set(vertices)) != len(vertices):
-        raise ValueError("duplicate vertices")
-    index = {v: i for i, v in enumerate(vertices)}
-    rows = [0] * len(vertices)
-    for i, v in enumerate(vertices):
-        for u in _bits(g.adj[v]):
-            j = index.get(u)
-            if j is not None:
-                rows[i] |= 1 << j
-    return Graph(len(vertices), tuple(rows))
-
-
 def _stable_coloring(g: Graph) -> tuple[list[int], tuple]:
     """Color refinement from the degrees until the partition is stable.
 
@@ -524,15 +496,6 @@ def canonical_key(g: Graph) -> tuple:
         partial = extended
         code = code << i | best_row
     return signature, code
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Isomorphism test by comparing canonical keys, intended for n <= 8."""
-    if g1.n != g2.n:
-        return False
-    if g1.n > 8:
-        raise ValueError("isomorphism testing is limited to n <= 8")
-    return canonical_key(g1) == canonical_key(g2)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Optional
 
 from .budgets import DEFAULT_VERTEX_BUDGET, check_budget
-from .graphs import Graph, induced_subgraph, min_odd_cycle_at_most
+from .graphs import Graph, min_odd_cycle_at_most
 from .matrices import RationalMatrix, mod_rank
 
 
@@ -341,13 +341,3 @@ def rank_bound_report(ell: int, n: int) -> ConstructionReport:
     delta_star = round(1.0 - math.log(params.rank_bound) / math.log(params.vertex_count), 6)
     return ConstructionReport(ell, n, d, m, params.rank_bound, params.vertex_count, delta_star)
 
-
-def construction_subgraph(
-    ell: int, n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET
-) -> Graph:
-    """Materialize the n-vertex subgraph (lexicographic vertex prefix)."""
-    report = rank_bound_report(ell, n)
-    graph = kneser_graph(
-        KneserParams(report.d, report.d // 2, report.m), vertex_budget
-    )
-    return induced_subgraph(graph, range(n))

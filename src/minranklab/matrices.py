@@ -1,17 +1,17 @@
 """Exact dense matrices over prime fields GF(p) and over the rationals.
 
-Rank over GF(p) uses modular Gaussian elimination; rank over the rationals
-uses fraction-free (Bareiss) elimination on integer-scaled rows, so no
-floating point is ever involved. Sparse-basis search enumerates column
-subsets in lexicographic order with weight pruning, carrying the echelon
-basis of the chosen columns down the search.
+Rank and nullspace over GF(p) use modular Gaussian elimination, on bitset
+rows for p = 2. A rational matrix only holds exact entries (the Kneser
+witness, the modulus-0 text format); no rank is computed over the
+rationals here. The sparse-basis search enumerates vector subsets in
+lexicographic order with weight pruning, carrying the echelon basis of the
+chosen vectors down the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -104,52 +104,6 @@ def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[lis
     return basis
 
 
-_INEXACT = "internal error: fraction-free elimination divided inexactly"
-
-
-def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination.
-
-    Every interior division is checked exact; a RuntimeError means the
-    elimination bookkeeping is broken, not bad input.
-    """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    prev = 1
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        prow = work[r]
-        for i in range(r + 1, nrows):
-            row = work[i]
-            f = row[c]
-            if f:
-                for j in range(c + 1, ncols):
-                    q, rem = divmod(row[j] * pv - f * prow[j], prev)
-                    if rem:
-                        raise RuntimeError(_INEXACT)
-                    row[j] = q
-            elif prev != 1 or pv != 1:
-                for j in range(c + 1, ncols):
-                    q, rem = divmod(row[j] * pv, prev)
-                    if rem:
-                        raise RuntimeError(_INEXACT)
-                    row[j] = q
-            row[c] = 0
-        prev = pv
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # matrix types
 
@@ -197,17 +151,13 @@ class FieldMatrix:
             )
         return mod_rank(self.entries, self.p)
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.p, tuple(zip(*self.entries)) if self.entries else ())
-
 
 @dataclass(frozen=True)
 class RationalMatrix:
     """Dense matrix of exact rationals, entries as int or Fraction.
 
     from_rows converts every entry to a Fraction (lowest terms); an integer
-    matrix can hold its ints directly, which rank, transpose and the text
-    format all accept.
+    matrix can hold its ints directly, which the text format accepts.
     """
 
     entries: tuple[tuple[Union[int, Fraction], ...], ...]
@@ -235,18 +185,6 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def rank(self) -> int:
-        scaled = []
-        for row in self.entries:
-            den = 1
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-            scaled.append([int(x * den) for x in row])
-        return bareiss_rank(scaled)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
 
 Matrix = Union[FieldMatrix, RationalMatrix]
 
@@ -259,22 +197,9 @@ def sparsity(m: Matrix) -> int:
 # ---------------------------------------------------------------------------
 # sparse bases
 
-def _column_vectors(m: FieldMatrix) -> list[tuple[int, ...]]:
-    return [tuple(row[c] for row in m.entries) for c in range(m.cols)]
-
-
-def min_column_basis_weight(m: FieldMatrix) -> int:
-    """Minimum total nonzeros over sets of rank(m) independent columns.
-
-    Lexicographic subset search, pruning on partial weight and on partial
-    dependence (a dependent prefix cannot extend to a basis).
-    """
-    return _min_basis_weight(_column_vectors(m), m.rank(), m.p)
-
-
-def _min_basis_weight(cols: Sequence[Sequence[int]], k: int, p: int) -> int:
-    """Minimum total nonzeros over k independent vectors among cols, where k
-    is the rank of cols over GF(p).
+def min_basis_weight(vectors: Sequence[Sequence[int]], k: int, p: int) -> int:
+    """Minimum total nonzeros over k independent vectors among vectors (the
+    columns or the rows of a matrix), where k is their rank over GF(p).
 
     The search carries the echelon basis of the chosen vectors down the
     recursion: a vector extends the choice iff its residue against the
@@ -282,8 +207,8 @@ def _min_basis_weight(cols: Sequence[Sequence[int]], k: int, p: int) -> int:
     """
     if k == 0:
         return 0
-    weights = [sum(1 for x in col if x) for col in cols]
-    ncols = len(cols)
+    weights = [sum(1 for x in v if x) for v in vectors]
+    count = len(vectors)
     best: list[int] = [sum(sorted(weights, reverse=True)[:k]) ]  # trivial upper bound
 
     def extend(start: int, basis: list, weight: int) -> None:
@@ -293,11 +218,11 @@ def _min_basis_weight(cols: Sequence[Sequence[int]], k: int, p: int) -> int:
             if weight < best[0]:
                 best[0] = weight
             return
-        for idx in range(start, ncols - (k - len(basis)) + 1):
+        for idx in range(start, count - (k - len(basis)) + 1):
             w = weight + weights[idx]
             if w > best[0]:
                 continue
-            pivot_row = _echelon_residue(cols[idx], basis, p)
+            pivot_row = _echelon_residue(vectors[idx], basis, p)
             if pivot_row is not None:
                 extend(idx + 1, basis + [pivot_row], w)
 
@@ -321,15 +246,6 @@ def _echelon_residue(
             inv = pow(x, p - 2, p)
             return pivot, [(y * inv) % p for y in v]
     return None
-
-
-def min_row_basis_weight(m: FieldMatrix) -> int:
-    return min_column_basis_weight(m.transpose())
-
-
-def has_sparse_bases(m: FieldMatrix, ell: int) -> bool:
-    """True iff both a column basis and a row basis have total nonzeros <= ell."""
-    return min_column_basis_weight(m) <= ell and min_row_basis_weight(m) <= ell
 
 
 # ---------------------------------------------------------------------------

@@ -75,20 +75,25 @@ def _cover_graph(g: GraphLike) -> Graph:
     return complement(underlying_graph(g) if isinstance(g, Digraph) else g)
 
 
-def minrank_bounds(g: GraphLike, alpha_limit: int = 40, chi_limit: int = 18) -> Bounds:
+# vertex counts up to which minrank_bounds computes alpha and chi exactly
+ALPHA_LIMIT = 40
+CHI_LIMIT = 18
+
+
+def minrank_bounds(g: GraphLike) -> Bounds:
     """Independence-number lower bound and clique-cover upper bound.
 
-    Both bounds hold over every field. Past the exact-computation limits the
-    lower bound falls back to a greedy independent set and the upper bound to
-    degeneracy+1 of the complement, flagged as inexact.
+    Both bounds hold over every field. Past ALPHA_LIMIT (CHI_LIMIT) vertices
+    the lower bound falls back to a greedy independent set (the upper bound
+    to degeneracy+1 of the complement), flagged as inexact.
     """
     lower_graph = union_graph(g)
     cover_graph = _cover_graph(g)
-    if g.n <= alpha_limit:
+    if g.n <= ALPHA_LIMIT:
         lower, lower_exact = independence_number(lower_graph), True
     else:
         lower, lower_exact = len(greedy_independent_set(lower_graph)), False
-    if g.n <= chi_limit:
+    if g.n <= CHI_LIMIT:
         upper, upper_exact = chromatic_number(cover_graph), True
     else:
         upper, upper_exact = degeneracy(cover_graph)[0] + 1, False

@@ -41,7 +41,7 @@ from .graphs import (
     sample_digraph,
     underlying_graph,
 )
-from .matrices import _min_basis_weight, is_prime, mod_rank
+from .matrices import is_prime, min_basis_weight, mod_rank
 from .minrank import minrank_exact
 from .parallel import map_chunks, split_range
 
@@ -100,7 +100,7 @@ def _profile(vectors, p: int, memo: dict) -> tuple[int, int]:
     found = memo.get(multiset)
     if found is None:
         rank = mod_rank(multiset, p)
-        found = memo[multiset] = (rank, _min_basis_weight(multiset, rank, p))
+        found = memo[multiset] = (rank, min_basis_weight(multiset, rank, p))
     return found
 
 
@@ -330,10 +330,10 @@ def exhaustive_g(
     """
     if not dedup:
         raise ValueError("exhaustive_g always deduplicates by isomorphism class")
-    total = 1 << (n * (n - 1) // 2)
-    check_budget(total, graph_budget, f"graph sweep at n={n}")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    total = 1 << (n * (n - 1) // 2)
+    check_budget(total, graph_budget, f"graph sweep at n={n}")
     full = total - 1
     reps: dict[tuple, int] = {}
     accepted = 0

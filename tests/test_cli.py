@@ -327,6 +327,16 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out.strip().splitlines()[1])["violations"] == []
 
+    def test_forest_sweep_past_the_digit_limit_is_a_budget_refusal(self, capsys):
+        # 2^19900 labeled graphs: an estimate too long for str() in full
+        code = main([
+            "verify", "lemma", "--id", "forest", "--n", "200", "--h", "P3", "--field", "2",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("budget refusal:")
+        assert "estimated work about 10^5990, budget 131072" in err
+
 
 class TestExperimentCommand:
     def test_g_estimate(self, capsys, tmp_path):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minranklab import kneser, matrices
+from minranklab import kneser
 from minranklab.budgets import BudgetExceededError
 from minranklab.graphs import (
+    canonical_key,
     complete_graph,
     empty_graph,
-    is_isomorphic,
     min_odd_cycle_at_most,
 )
 from minranklab.kneser import (
@@ -19,7 +19,6 @@ from minranklab.kneser import (
     KneserParams,
     VerificationError,
     binary_entropy,
-    construction_subgraph,
     entropy_delta_limit,
     intersection_polynomial,
     johnson_spectrum,
@@ -67,7 +66,8 @@ class TestGraph:
         assert min_odd_cycle_at_most(g, 3) is None
 
     def test_singletons_give_complete_graph(self):
-        assert is_isomorphic(kneser_graph(KneserParams(3, 1, 1)), complete_graph(3))
+        g = kneser_graph(KneserParams(3, 1, 1))
+        assert canonical_key(g) == canonical_key(complete_graph(3))
 
     def test_m_zero_is_empty(self):
         assert kneser_graph(KneserParams(4, 2, 0)) == empty_graph(6)
@@ -227,18 +227,21 @@ class TestRankCertificate:
                 assert spectral_rank(KneserParams(2 * s, s, m)) == math.comb(2 * s, s - m)
 
     def test_no_elimination_on_the_kneser_path(self, monkeypatch):
+        # the one elimination is the mod-p cross-check, run only with check_rank
         calls = []
-        bareiss = matrices.bareiss_rank
+        mod_rank = kneser.mod_rank
 
-        def counted(rows):
-            calls.append(len(rows))
-            return bareiss(rows)
+        def counted(rows, p):
+            calls.append(p)
+            return mod_rank(rows, p)
 
-        monkeypatch.setattr(matrices, "bareiss_rank", counted)
+        monkeypatch.setattr(kneser, "mod_rank", counted)
         w = representation_matrix(KneserParams(10, 5, 2), check_rank=True)
-        assert (w.rank, calls) == (120, [])
+        assert (w.rank, calls) == (120, [CERTIFICATE_PRIME])
         w = representation_matrix(KneserParams(10, 5, 1), check_rank=True)
-        assert (w.rank, calls) == (126, [])
+        assert (w.rank, calls) == (126, [CERTIFICATE_PRIME] * 2)
+        w = representation_matrix(KneserParams(10, 5, 2))
+        assert (w.rank, calls) == (None, [CERTIFICATE_PRIME] * 2)
 
     def test_no_rank_without_check(self):
         w = representation_matrix(KneserParams(6, 3, 2))
@@ -368,9 +371,3 @@ class TestEntropyReport:
         assert binary_entropy(0.5) == 1.0
         assert binary_entropy(0.0) == 0.0
         assert 0.91 < binary_entropy(1 / 3) < 0.92
-
-
-def test_construction_subgraph_prefix():
-    g = construction_subgraph(3, 12)
-    assert g.n == 12
-    assert min_odd_cycle_at_most(g, 3) is None

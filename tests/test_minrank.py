@@ -101,10 +101,12 @@ class TestBounds:
         b = minrank_bounds(complete_graph(7))
         assert (b.lower, b.upper) == (1, 1)
 
-    def test_exactness_flags(self):
+    def test_exactness_flags(self, monkeypatch):
         b = minrank_bounds(cycle_graph(5))
         assert b.lower_exact and b.upper_exact
-        b = minrank_bounds(cycle_graph(5), alpha_limit=3, chi_limit=3)
+        monkeypatch.setattr(minrank, "ALPHA_LIMIT", 3)
+        monkeypatch.setattr(minrank, "CHI_LIMIT", 3)
+        b = minrank_bounds(cycle_graph(5))
         assert not b.lower_exact and not b.upper_exact
         assert b.lower <= 2 and b.upper >= 3  # greedy sides still bound
 

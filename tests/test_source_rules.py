@@ -57,3 +57,18 @@ def test_only_parallel_starts_processes():
         if name in {"concurrent", "multiprocessing"}
     ]
     assert found == []
+
+
+def test_no_private_imports_between_modules():
+    # a name another module needs is part of its owner's interface, so it is
+    # public; `_name` stays free to change inside its own module
+    package = Path(minranklab.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno} {alias.name}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert found == []

@@ -121,13 +121,13 @@ class TestSparsityLowerBound:
     def test_no_basis_searches(self, monkeypatch):
         # the sweep reads only the rank, so it runs no sparse-basis search
         calls = []
-        search = verifiers._min_basis_weight
+        search = verifiers.min_basis_weight
 
         def counted(cols, k, p):
             calls.append(k)
             return search(cols, k, p)
 
-        monkeypatch.setattr(verifiers, "_min_basis_weight", counted)
+        monkeypatch.setattr(verifiers, "min_basis_weight", counted)
         assert verify_sparsity_lower_bound(4, 2).ok
         assert calls == []
 
@@ -190,17 +190,24 @@ class TestBasisWeightCensus:
         with pytest.raises(ValueError, match="matrix size -1 is negative"):
             basis_weight_census(-1, 2)
 
+    def test_huge_domain_is_a_budget_refusal(self):
+        # 2^14400 matrices: an estimate too long for str() in full
+        with pytest.raises(BudgetExceededError) as info:
+            basis_weight_census(120, 2)
+        assert info.value.estimate == 2**14400
+        assert "estimated work about 10^4334" in str(info.value)
+
     def test_one_search_per_vector_multiset_per_call(self, monkeypatch):
         # C(16 + 3, 4) = 3876 multisets of four vectors of GF(2)^4; a second
         # call searches them all again, so the memo lives for one call only
         calls = [0]
-        search = verifiers._min_basis_weight
+        search = verifiers.min_basis_weight
 
         def counted(cols, k, p):
             calls[0] += 1
             return search(cols, k, p)
 
-        monkeypatch.setattr(verifiers, "_min_basis_weight", counted)
+        monkeypatch.setattr(verifiers, "min_basis_weight", counted)
         for _ in range(2):
             calls[0] = 0
             basis_weight_census(4, 2)
@@ -242,7 +249,7 @@ class TestPrincipalSubmatrix:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_qualifying_block_reports_every_rank_k_matrix(self, monkeypatch, k):
         # basis weights above every threshold 2 s' k' / n' leave no block
-        monkeypatch.setattr(verifiers, "_min_basis_weight", lambda cols, rank, p: 10**6)
+        monkeypatch.setattr(verifiers, "min_basis_weight", lambda cols, rank, p: 10**6)
         report = verify_principal_submatrix_decomposition(3, k, 2)
         expected = [
             {"n": n, "k": k, "matrix": rows}
@@ -333,6 +340,11 @@ class TestExhaustive:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             exhaustive_g(7, complete_graph(3), 2)
+
+    @pytest.mark.parametrize("n", [-3, -3000])
+    def test_negative_vertex_count_refused_before_budget(self, n):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            exhaustive_g(n, complete_graph(3), 2)
 
 
 class TestEstimate:
