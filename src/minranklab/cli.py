@@ -258,7 +258,8 @@ def _run_verify(args):
                     verify_sparse_basis_count(n, k, ell, args.field, census=census)
                 )
     elif args.id == "submatrix":
-        ks = [args.k] if args.k is not None else list(range(1, args.n_max + 1))
+        # k = 1 at least, so the sweep itself refuses an n_max below 1
+        ks = [args.k] if args.k is not None else list(range(1, max(args.n_max, 1) + 1))
         for k in ks:
             reports.append(
                 verify_principal_submatrix_decomposition(

@@ -31,6 +31,21 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
 
+def _check_rows(n: int, adj: tuple[int, ...]) -> None:
+    """Checks shared by both graph types: n >= 0, one bitset row per vertex,
+    no bits outside 0..n-1 and no self-loops."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if len(adj) != n:
+        raise ValueError("adjacency must have one row per vertex")
+    full = (1 << n) - 1
+    for i, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"row {i} has bits outside 0..{n - 1}")
+        if (row >> i) & 1:
+            raise ValueError(f"self-loop at vertex {i}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: symmetric, irreflexive bitset adjacency rows."""
@@ -39,16 +54,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency must have one row per vertex")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"row {i} has bits outside 0..{self.n - 1}")
-            if (row >> i) & 1:
-                raise ValueError(f"self-loop at vertex {i}")
+        _check_rows(self.n, self.adj)
         for i in range(self.n):
             for j in _bits(self.adj[i]):
                 if not (self.adj[j] >> i) & 1:
@@ -107,16 +113,7 @@ class Digraph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency must have one row per vertex")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"row {i} has bits outside 0..{self.n - 1}")
-            if (row >> i) & 1:
-                raise ValueError(f"self-loop at vertex {i}")
+        _check_rows(self.n, self.adj)
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":

@@ -1,11 +1,13 @@
 """Exact dense matrices over prime fields GF(p) and over the rationals.
 
-Rank and nullspace over GF(p) use modular Gaussian elimination, on bitset
-rows for p = 2. A rational matrix only holds exact entries (the Kneser
-witness, the modulus-0 text format); no rank is computed over the
-rationals here. The sparse-basis search enumerates vector subsets in
-lexicographic order with weight pruning, carrying the echelon basis of the
-chosen vectors down the search.
+Every elimination over GF(p), bar the bitset `gf2_rank` for p = 2, runs on
+`_echelon_residue`, which reduces a vector mod p against a semi-echelon
+basis: rank counts the rows that leave a residue, the nullspace is read off
+the back-substituted basis, and the sparse-basis search enumerates vector
+subsets in lexicographic order with weight pruning, carrying the basis of
+the chosen vectors down the search.
+A rational matrix only holds exact entries (the Kneser witness, the
+modulus-0 text format); no rank is computed over the rationals here.
 """
 
 from __future__ import annotations
@@ -47,61 +49,58 @@ def gf2_rank(rows: Iterable[int]) -> int:
 
 
 def mod_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p) by Gaussian elimination on row lists."""
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c] % p), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], p - 2, p) if p > 2 else 1
-        prow = [(x * inv) % p for x in work[r]]
-        work[r] = prow
-        for i in range(r + 1, nrows):
-            f = work[i][c] % p
-            if f:
-                row = work[i]
-                work[i] = [(x - f * y) % p for x, y in zip(row, prow)]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+    """Rank over GF(p): the number of rows that leave a residue."""
+    basis: list = []
+    for row in rows:
+        residue = _echelon_residue(row, basis, p)
+        if residue is not None:
+            basis.append(residue)
+    return len(basis)
 
 
 def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of {x : rows @ x = 0} over GF(p)."""
-    work = [[x % p for x in r] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        work[r] = [(x * inv) % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    pivot_set = set(pivots)
+    """Basis of {x : rows @ x = 0} over GF(p), one vector per free column in
+    increasing order, read off the reduced row echelon form of the rows."""
+    basis: list = []
+    for row in rows:
+        residue = _echelon_residue(row, basis, p)
+        if residue is not None:
+            basis.append(residue)
+    # back-substitute, last row first: each row is reduced against the later
+    # rows, which are already zero at each other's pivots
+    reduced: list = []
+    for _, row in reversed(basis):
+        reduced.append(_echelon_residue(row, reduced, p))
+    pivot_rows = dict(reduced)
+    nullspace = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivot_rows:
             continue
         vec = [0] * ncols
         vec[free] = 1
-        for row_idx, c in enumerate(pivots):
-            vec[c] = (-work[row_idx][free]) % p
-        basis.append(vec)
-    return basis
+        for c, row in pivot_rows.items():
+            vec[c] = (-row[free]) % p
+        nullspace.append(vec)
+    return nullspace
+
+
+def _echelon_residue(
+    vector: Sequence[int], basis: list, p: int
+) -> Optional[tuple[int, list[int]]]:
+    """Reduce vector mod p against basis, a list of (pivot, row) with
+    row[pivot] == 1 and every row zero at the earlier rows' pivots. Returns
+    the residue scaled to 1 at its first nonzero entry as a new (pivot, row)
+    in the same form, or None if vector lies in the span."""
+    v = [x % p for x in vector]
+    for pivot, row in basis:
+        f = v[pivot]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    for pivot, x in enumerate(v):
+        if x:
+            inv = pow(x, p - 2, p)
+            return pivot, [(y * inv) % p for y in v]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -200,52 +199,41 @@ def sparsity(m: Matrix) -> int:
 def min_basis_weight(vectors: Sequence[Sequence[int]], k: int, p: int) -> int:
     """Minimum total nonzeros over k independent vectors among vectors (the
     columns or the rows of a matrix), where k is their rank over GF(p).
+    Entries are read mod p; fewer than k independent vectors raise ValueError.
 
     The search carries the echelon basis of the chosen vectors down the
     recursion: a vector extends the choice iff its residue against the
     chosen pivots is nonzero.
     """
+    if k < 0:
+        raise ValueError(f"basis size {k} is negative")
     if k == 0:
         return 0
-    weights = [sum(1 for x in v if x) for v in vectors]
+    weights = [sum(1 for x in v if x % p) for v in vectors]
     count = len(vectors)
-    best: list[int] = [sum(sorted(weights, reverse=True)[:k]) ]  # trivial upper bound
+    best = sum(sorted(weights, reverse=True)[:k])  # trivial upper bound
+    found = False
 
     def extend(start: int, basis: list, weight: int) -> None:
-        if weight >= best[0] and len(basis) < k:
+        nonlocal best, found
+        if weight >= best and len(basis) < k:
             return
         if len(basis) == k:
-            if weight < best[0]:
-                best[0] = weight
+            best = min(best, weight)
+            found = True
             return
         for idx in range(start, count - (k - len(basis)) + 1):
             w = weight + weights[idx]
-            if w > best[0]:
+            if w > best:
                 continue
             pivot_row = _echelon_residue(vectors[idx], basis, p)
             if pivot_row is not None:
                 extend(idx + 1, basis + [pivot_row], w)
 
     extend(0, [], 0)
-    return best[0]
-
-
-def _echelon_residue(
-    vector: Sequence[int], basis: list, p: int
-) -> Optional[tuple[int, list[int]]]:
-    """Reduce vector against basis, a list of (pivot, row) with row[pivot] == 1
-    and every row zero at the earlier rows' pivots. Returns the residue as a
-    new (pivot, row) in the same form, or None if vector lies in the span."""
-    v = list(vector)
-    for pivot, row in basis:
-        f = v[pivot]
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    for pivot, x in enumerate(v):
-        if x:
-            inv = pow(x, p - 2, p)
-            return pivot, [(y * inv) % p for y in v]
-    return None
+    if not found:
+        raise ValueError(f"fewer than {k} independent vectors over GF({p})")
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -93,25 +93,31 @@ def _matrices(tables: list, start: int, stop: int):
         yield rows
 
 
-def _profile(vectors, p: int, memo: dict) -> tuple[int, int]:
-    """(rank, min basis weight) of the vectors over GF(p), memoized on their
-    sorted tuple."""
-    multiset = tuple(sorted(vectors))
+def _profile(multiset: tuple, p: int, memo: dict, k: Optional[int] = None) -> tuple:
+    """(rank, min basis weight) of a sorted tuple of vectors over GF(p),
+    memoized on it; the weight is None until a call passes the checked rank k."""
     found = memo.get(multiset)
     if found is None:
-        rank = mod_rank(multiset, p)
-        found = memo[multiset] = (rank, min_basis_weight(multiset, rank, p))
+        found = memo[multiset] = (mod_rank(multiset, p), None)
+    if k is not None and found[1] is None:
+        found = memo[multiset] = (k, min_basis_weight(multiset, k, p))
     return found
 
 
 def _matrix_profile(rows: list, p: int, memo: dict) -> tuple[int, int, int]:
-    """(rank, min column basis weight, min row basis weight) of a matrix."""
-    k, row_weight = _profile(rows, p, memo)
-    column_rank, column_weight = _profile(zip(*rows), p, memo)
+    """(rank, min column basis weight, min row basis weight) of a matrix. Both
+    ranks are compared before either basis search, which needs the true rank."""
+    row_set, column_set = tuple(sorted(rows)), tuple(sorted(zip(*rows)))
+    k, row_weight = _profile(row_set, p, memo)
+    column_rank, column_weight = _profile(column_set, p, memo)
     if column_rank != k:
         raise RuntimeError(
             f"row rank {k} differs from column rank {column_rank} for rows {rows}"
         )
+    if row_weight is None:
+        row_weight = _profile(row_set, p, memo, k)[1]
+    if column_weight is None:
+        column_weight = _profile(column_set, p, memo, k)[1]
     return k, column_weight, row_weight
 
 
@@ -127,6 +133,8 @@ def _nonzero_diagonal_sweep(
     matrices checked and the normalized violations."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    if n_max < 1:
+        raise ValueError(f"n_max {n_max} leaves no matrix to check")
     checked = 0
     violations: list = []
     for n in range(1, n_max + 1):
@@ -259,7 +267,7 @@ def _submatrix_worker(args) -> list:
     memo: dict = {}
     violations = []
     for rows in _matrices(_row_tables(n, p, True), start, stop):
-        if _profile(rows, p, memo)[0] > k:
+        if _profile(tuple(sorted(rows)), p, memo)[0] > k:
             continue
         for t in subsets:
             block = [tuple(rows[i][j] for j in t) for i in t]
@@ -284,6 +292,8 @@ def verify_principal_submatrix_decomposition(
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerificationReport:
     """Every rank<=k nonzero-diagonal matrix has a qualifying principal block."""
+    if k < 1:
+        raise ValueError(f"rank bound k={k} leaves no matrix to check")
     checked, violations = _nonzero_diagonal_sweep(
         _submatrix_worker, (k,), n_max, p, jobs, enumeration_budget
     )

@@ -307,6 +307,21 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: matrix size -1 is negative\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--id", "submatrix", "--n-max", "2", "--k", "-1"], "rank bound k=-1"),
+            (["--id", "submatrix", "--n-max", "0"], "n_max 0"),
+            (["--id", "sparsity", "--n-max", "-1"], "n_max -1"),
+        ],
+    )
+    def test_sweep_that_checks_nothing_exit_1(self, capsys, flags, message):
+        code = main(["verify", "lemma", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message} leaves no matrix to check\n"
+
     def test_count_sweep_lines(self, capsys):
         code, out = run_cli(
             ["verify", "lemma", "--id", "count", "--n", "2", "--field", "2"], capsys

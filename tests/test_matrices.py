@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,12 @@ from minranklab.matrices import (
     gf2_rank,
     min_basis_weight,
     mod_nullspace,
+    mod_rank,
     parse_matrix_text,
     sparsity,
 )
 
-from _oracles import oracle_fraction_rank, oracle_min_basis_weight
+from _oracles import _plain_mod_rank, oracle_fraction_rank, oracle_min_basis_weight
 
 
 def test_prime_check_at_construction():
@@ -93,6 +95,44 @@ def test_mod_nullspace():
         assert sum(a * b for a, b in zip(row, x)) % 3 == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(1, 4).flatmap(
+                lambda cols: st.tuples(
+                    st.just(cols),
+                    st.lists(
+                        st.lists(st.integers(-2 * p, 2 * p), min_size=cols, max_size=cols),
+                        max_size=4,
+                    ),
+                )
+            ),
+        )
+    )
+)
+def test_mod_rank_and_nullspace_match_brute_force(case):
+    # entries in [-2p, 2p] leave some unreduced; both kernels read them mod p
+    p, (ncols, rows) = case
+    rank = mod_rank(rows, p)
+    assert rank == _plain_mod_rank(rows, p)
+    basis = mod_nullspace(rows, ncols, p)
+    assert len(basis) == ncols - rank
+
+    def in_kernel(x):
+        return all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in rows)
+
+    assert all(in_kernel(x) for x in basis)
+    kernel = {x for x in product(range(p), repeat=ncols) if in_kernel(x)}
+    span = {
+        tuple(sum(c * x[j] for c, x in zip(coeffs, basis)) % p for j in range(ncols))
+        for coeffs in product(range(p), repeat=len(basis))
+    }
+    assert span == kernel
+    assert len(kernel) == p ** (ncols - rank)
+
+
 class TestSparsity:
     def test_counts(self):
         assert sparsity(FieldMatrix.from_rows(2, [[0, 0], [0, 0]])) == 0
@@ -121,6 +161,20 @@ class TestSparseBases:
         # rank 2; columns (1,0),(0,1) beat the dense ones
         m = FieldMatrix.from_rows(3, [[1, 1, 0, 1], [1, 0, 1, 2]])
         assert basis_weights(m)[0] == 2
+
+    def test_entries_read_mod_p(self):
+        # (3, 0) is the zero vector over GF(3), and (3, 1) weighs 1
+        with pytest.raises(ValueError, match="fewer than 1 independent vectors"):
+            min_basis_weight([(3, 0)], 1, 3)
+        assert min_basis_weight([(3, 1), (1, 1)], 1, 3) == 1
+
+    def test_rank_above_the_vectors_refused(self):
+        with pytest.raises(ValueError, match="fewer than 2 independent vectors over GF\\(3\\)"):
+            min_basis_weight([(1, 0), (2, 0)], 2, 3)
+
+    def test_negative_size_refused(self):
+        with pytest.raises(ValueError, match="basis size -1 is negative"):
+            min_basis_weight([(1,)], -1, 2)
 
     def test_bruteforce_min_weight(self):
         rng = random.Random(33)

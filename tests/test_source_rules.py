@@ -72,3 +72,19 @@ def test_no_private_imports_between_modules():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert found == []
+
+
+def test_one_modular_inverse():
+    # every elimination over GF(p) runs on matrices._echelon_residue, the one
+    # place that inverts mod p with a three-argument pow
+    package = Path(minranklab.__file__).parent
+    found = [
+        f"{path.relative_to(package)}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "pow"
+        and len(node.args) == 3
+    ]
+    assert found == ["matrices.py"]

@@ -99,6 +99,11 @@ class TestSparsityLowerBound:
         with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
             verify_sparsity_lower_bound(2, p)
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_empty_sweep_refused(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max {n_max} leaves no matrix to check"):
+            verify_sparsity_lower_bound(n_max, 2)
+
     def test_rank_zero_reports_every_matrix_with_its_sparsity(self, monkeypatch):
         monkeypatch.setattr(verifiers, "mod_rank", lambda rows, p: 0)
         report = verify_sparsity_lower_bound(2, 3)
@@ -245,6 +250,11 @@ class TestPrincipalSubmatrix:
     def test_non_prime_field_refused(self):
         with pytest.raises(ValueError, match="modulus 4 is not prime"):
             verify_principal_submatrix_decomposition(2, 1, 4)
+
+    @pytest.mark.parametrize("n_max, k, message", [(2, 0, "rank bound k=0"), (0, 1, "n_max 0")])
+    def test_empty_sweep_refused(self, n_max, k, message):
+        with pytest.raises(ValueError, match=f"{message} leaves no matrix to check"):
+            verify_principal_submatrix_decomposition(n_max, k, 2)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_qualifying_block_reports_every_rank_k_matrix(self, monkeypatch, k):
