@@ -147,7 +147,7 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 def _run_minrank(args):
     g = _load_graph_arg(args.graph)
-    result = minrank_exact(g, args.field, work_budget=args.budget, jobs=args.jobs)
+    result = minrank_exact(g, args.field, work_budget=args.budget)
     return {
         "value": result.value,
         "lower": result.lower,
@@ -232,7 +232,20 @@ def _run_lll(args):
     return result, False
 
 
+# the flags among --n, --k, --ell and --h (all default None) that each lemma reads
+_LEMMA_FLAGS = {
+    "sparsity": (), "count": ("n", "k", "ell"), "submatrix": ("k",), "forest": ("n", "h"),
+}
+
+
 def _run_verify(args):
+    unread = [
+        f"--{flag}"
+        for flag in ("n", "k", "ell", "h")
+        if getattr(args, flag) is not None and flag not in _LEMMA_FLAGS[args.id]
+    ]
+    if unread:
+        raise ValueError(f"--id {args.id} does not read {', '.join(unread)}")
     if args.id in ("count", "forest") and args.n is None:
         raise ValueError(f"--n is required for --id {args.id}")
     if args.id == "forest" and args.h is None:
@@ -250,6 +263,8 @@ def _run_verify(args):
         census = basis_weight_census(
             n, args.field, jobs=args.jobs, enumeration_budget=budget
         )
+        if n < 1:  # a negative size was refused by the census
+            raise ValueError(f"matrix size {n} leaves no matrix to check")
         ks = [args.k] if args.k is not None else list(range(0, n + 1))
         for k in ks:
             ells = [args.ell] if args.ell is not None else list(range(1, n * max(k, 1) + 1))
@@ -366,7 +381,6 @@ def _build_parser() -> _Parser:
     p_exact.add_argument("--field", type=int, required=True)
     p_exact.add_argument("--graph", required=True)
     p_exact.add_argument("--budget", type=int, default=DEFAULT_SOLVER_BUDGET)
-    p_exact.add_argument("--jobs", type=int, default=1)
     p_exact.add_argument("--out")
     p_exact.set_defaults(handler=_run_minrank, style="single")
 

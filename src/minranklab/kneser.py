@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Optional
 
 from .budgets import DEFAULT_VERTEX_BUDGET, check_budget
-from .graphs import Graph, min_odd_cycle_at_most
+from .graphs import Graph
 from .matrices import RationalMatrix, mod_rank
 
 
@@ -265,18 +265,11 @@ def _verify_rows(params, masks, entries, incidence, weights) -> None:
             raise VerificationError(f"factorization mismatch at pair ({a},{b})")
 
 
-def odd_girth_guarantee(
-    d: int,
-    m: int,
-    ell: int,
-    verify: bool = False,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> bool:
+def odd_girth_guarantee(d: int, m: int, ell: int) -> bool:
     """True iff m <= d/(2*ell), the hypothesis excluding odd cycles <= ell.
 
-    Applies to K(d, d/2, m) for even d. With verify=True the graph is built
-    and searched explicitly; a cycle found under a true hypothesis raises
-    VerificationError.
+    Applies to K(d, d/2, m) for even d. `kneser build --check-odd-girth`
+    searches the graph itself.
     """
     if ell < 3 or ell % 2 == 0:
         raise ValueError("ell must be an odd integer >= 3")
@@ -284,15 +277,7 @@ def odd_girth_guarantee(
         raise ValueError("d must be even")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    holds = 2 * ell * m <= d
-    if verify and holds:
-        graph = kneser_graph(KneserParams(d, d // 2, m), vertex_budget)
-        found = min_odd_cycle_at_most(graph, ell)
-        if found is not None:
-            raise VerificationError(
-                f"K({d},{d // 2},{m}) contains an odd cycle of length {found} <= {ell}"
-            )
-    return holds
+    return 2 * ell * m <= d
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .graphs import (
 )
 # gf2_rank is unused here; perfbench's test_tracer_counts_calls_where_they_are_looked_up reads it
 from .matrices import FieldMatrix, Matrix, gf2_rank, is_prime, mod_nullspace  # noqa: F401
-from .parallel import map_chunks, split_range
 
 GraphLike = Union[Graph, Digraph]
 
@@ -188,43 +187,13 @@ def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
     return None
 
 
-def _scan_chunk(args):
-    """Worker: scan a run of pivot sets, return the first feasible basis."""
-    n, p, pivot_list, allowed = args
-    vorder = sorted(range(n), key=lambda v: allowed[v].bit_count())
-    outside = [(v, [u for u in range(n) if not (allowed[v] >> u) & 1]) for v in vorder]
-    neighbors = [(v, [u for u in range(n) if u != v and (allowed[v] >> u) & 1]) for v in vorder]
-    for pivots in pivot_list:
-        rows = _scan_pivots(n, p, pivots, (outside, neighbors))
-        if rows is not None:
-            return rows
-    return None
-
-
-def _first_feasible(g: GraphLike, p: int, k: int, jobs: int):
-    """First feasible k-dimensional row space in canonical enumeration order."""
-    n = g.n
-    pivot_sets = list(combinations(range(n), k))
-    if len(pivot_sets) < 2 * jobs:
-        jobs = 1
-    allowed = _allowed_masks(g)
-    args = [
-        (n, p, pivot_sets[start:stop], allowed)
-        for start, stop in split_range(len(pivot_sets), jobs)
-    ]
-    # chunks are contiguous and in order, so the first hit is the first overall
-    return next((rows for rows in map_chunks(_scan_chunk, args, jobs) if rows is not None), None)
-
-
-def _witness_from_space(g: GraphLike, p: int, rows) -> FieldMatrix:
-    """Build a representing matrix whose rows lie in the row space of `rows`."""
-    n = g.n
+def _witness_from_space(n: int, p: int, rows, outside) -> FieldMatrix:
+    """Build a representing matrix whose rows lie in the row space of `rows`;
+    outside[i] lists the columns vertex i's row must vanish on."""
     k = len(rows)
-    allowed = _allowed_masks(g)
     out = []
     for i in range(n):
-        zlist = [j for j in range(n) if not (allowed[i] >> j) & 1]
-        constraints = [[rows[r][z] for r in range(k)] for z in zlist]
+        constraints = [[rows[r][z] for r in range(k)] for z in outside[i]]
         for x in mod_nullspace(constraints, k, p):
             if sum(x[r] * rows[r][i] for r in range(k)) % p:
                 out.append([sum(x[r] * rows[r][j] for r in range(k)) % p for j in range(n)])
@@ -280,8 +249,11 @@ def minrank_exact(
     """Exact minrank of g over GF(p) with a witness attaining it.
 
     Refuses explicitly (BudgetExceededError) when the subspace enumeration
-    would exceed the work budget; never approximates silently.
+    would exceed the work budget; never approximates silently. The search
+    runs in this process, so `jobs` must be 1.
     """
+    if jobs != 1:
+        raise ValueError(f"the exact solver runs in one process, so jobs must be 1, not {jobs}")
     if not is_prime(p):
         raise ValueError(f"field size {p} is not prime")
     n = g.n
@@ -295,9 +267,15 @@ def minrank_exact(
             work_budget,
             f"minrank enumeration for n={n}, p={p}, k in [{lower},{upper})",
         )
+    allowed = _allowed_masks(g)
+    vorder = sorted(range(n), key=lambda v: allowed[v].bit_count())
+    outside = [(v, [u for u in range(n) if not (allowed[v] >> u) & 1]) for v in vorder]
+    neighbors = [(v, [u for u in range(n) if u != v and (allowed[v] >> u) & 1]) for v in vorder]
     for k in range(lower, upper):
-        rows = _first_feasible(g, p, k, jobs)
-        if rows is not None:
-            return _checked(g, k, _witness_from_space(g, p, rows), lower, upper, coloring=False)
+        for pivots in combinations(range(n), k):
+            rows = _scan_pivots(n, p, pivots, (outside, neighbors))
+            if rows is not None:
+                witness = _witness_from_space(n, p, rows, dict(outside))
+                return _checked(g, k, witness, lower, upper, coloring=False)
     value, witness = _coloring_witness(g, p, upper)
     return _checked(g, value, witness, lower, upper, coloring=True)

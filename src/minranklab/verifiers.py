@@ -232,6 +232,10 @@ def verify_sparse_basis_count(
     census: Optional[dict] = None,
 ) -> VerificationReport:
     """Exact count of rank-k matrices with ell-sparse bases is within its bound."""
+    if not 0 <= k <= n:
+        raise ValueError(f"rank k={k} leaves no matrix to check")
+    if ell < 1:
+        raise ValueError(f"sparsity ell={ell} leaves no matrix to check")
     if census is None:
         census = basis_weight_census(n, p, jobs, enumeration_budget)
     count = sum(

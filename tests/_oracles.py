@@ -51,12 +51,18 @@ def oracle_minrank(g, p: int, unit_diagonal: bool = True) -> int:
 
 
 def _plain_mod_rank(rows: list[list[int]], p: int) -> int:
+    return len(oracle_rref(rows, p))
+
+
+def oracle_rref(rows: list[list[int]], p: int) -> list[list[int]]:
+    """The nonzero rows of the reduced row echelon form mod p (Gauss-Jordan)."""
     m = [row[:] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    rank = 0
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         piv = None
         for i in range(r, nrows):
             if m[i][c] % p:
@@ -71,11 +77,47 @@ def _plain_mod_rank(rows: list[list[int]], p: int) -> int:
             if i != r and m[i][c] % p:
                 f = m[i][c]
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        rank += 1
         r += 1
-        if r == nrows:
-            break
-    return rank
+    return m[:r]
+
+
+def oracle_first_feasible_space(g, p: int, k: int) -> list[list[int]] | None:
+    """The solver's witness space, found by brute force: the first
+    k-dimensional row space of GF(p)^n, in canonical order, that holds for
+    every vertex i a vector with a nonzero i-th entry and zeros at every
+    column i's row may not use. Returned as its reduced-echelon basis.
+
+    Canonical order: pivot sets in combinations order; for each, the free
+    cells (row r, column j > pivot r, j not a pivot) row-major, filled in
+    product order. Feasibility is decided by listing all p^k vectors.
+    """
+    n = g.n
+    forbidden = [
+        [j for j in range(n) if j != i and not (g.adj[i] >> j) & 1] for i in range(n)
+    ]
+    for pivots in combinations(range(n), k):
+        free = [
+            (r, j)
+            for r, c in enumerate(pivots)
+            for j in range(c + 1, n)
+            if j not in pivots
+        ]
+        for values in product(range(p), repeat=len(free)):
+            basis = [[0] * n for _ in range(k)]
+            for r, c in enumerate(pivots):
+                basis[r][c] = 1
+            for (r, j), v in zip(free, values):
+                basis[r][j] = v
+            space = [
+                [sum(a * row[j] for a, row in zip(coeffs, basis)) % p for j in range(n)]
+                for coeffs in product(range(p), repeat=k)
+            ]
+            if all(
+                any(x[i] and not any(x[j] for j in forbidden[i]) for x in space)
+                for i in range(n)
+            ):
+                return basis
+    return None
 
 
 def oracle_min_basis_weight(vectors: list[list[int]], p: int) -> int:

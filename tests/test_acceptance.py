@@ -19,6 +19,7 @@ from minranklab.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    min_odd_cycle_at_most,
     path_graph,
     star_graph,
 )
@@ -127,9 +128,9 @@ def test_c05_kneser_representation():
 
 
 def test_c06_odd_girth_guarantees():
-    assert odd_girth_guarantee(6, 1, 3, verify=True)
-    assert odd_girth_guarantee(12, 2, 3, verify=True)
-    assert odd_girth_guarantee(10, 1, 5, verify=True)
+    for d, m, ell in [(6, 1, 3), (12, 2, 3), (10, 1, 5)]:
+        assert odd_girth_guarantee(d, m, ell)
+        assert min_odd_cycle_at_most(kneser_graph(KneserParams(d, d // 2, m)), ell) is None
     print("\nACCEPTANCE 6 no short odd cycles in K(6,3,1), K(12,6,2), K(10,5,1): PASS")
 
 

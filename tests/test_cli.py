@@ -127,6 +127,15 @@ class TestMinrankCommand:
         )
         assert code == 1
 
+    def test_no_jobs_option(self, capsys):
+        # the solver runs in one process, so the payload records no job count
+        code, out = run_cli(["minrank", "exact", "--field", "2", "--graph", "C5"], capsys)
+        assert code == 0 and "jobs" not in json.loads(out)["manifest"]["parameters"]
+        code = main(["minrank", "exact", "--field", "2", "--graph", "C5", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "unrecognized arguments: --jobs 2" in captured.err
+
     def test_internal_failure_exit_4(self, capsys, monkeypatch):
         monkeypatch.setattr(FieldMatrix, "rank", lambda self: 0)
         code = main(["minrank", "exact", "--field", "2", "--graph", "C5"])
@@ -313,6 +322,10 @@ class TestVerifyCommand:
             (["--id", "submatrix", "--n-max", "2", "--k", "-1"], "rank bound k=-1"),
             (["--id", "submatrix", "--n-max", "0"], "n_max 0"),
             (["--id", "sparsity", "--n-max", "-1"], "n_max -1"),
+            (["--id", "count", "--n", "2", "--k", "5", "--field", "2"], "rank k=5"),
+            (["--id", "count", "--n", "2", "--k", "-1"], "rank k=-1"),
+            (["--id", "count", "--n", "2", "--k", "1", "--ell", "-3"], "sparsity ell=-3"),
+            (["--id", "count", "--n", "0"], "matrix size 0"),
         ],
     )
     def test_sweep_that_checks_nothing_exit_1(self, capsys, flags, message):
@@ -321,6 +334,24 @@ class TestVerifyCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message} leaves no matrix to check\n"
+
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (["--id", "sparsity", "--n", "5", "--field", "2"], "--n"),
+            (["--id", "sparsity", "--h", "K3"], "--h"),
+            (["--id", "count", "--n", "2", "--h", "K3"], "--h"),
+            (["--id", "submatrix", "--n", "3"], "--n"),
+            (["--id", "submatrix", "--ell", "2"], "--ell"),
+            (["--id", "forest", "--n", "5", "--h", "P3", "--k", "9", "--ell", "2"], "--k, --ell"),
+        ],
+    )
+    def test_flag_the_lemma_does_not_read_exit_1(self, capsys, flags, unread):
+        code = main(["verify", "lemma", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --id {flags[1]} does not read {unread}\n"
 
     def test_count_sweep_lines(self, capsys):
         code, out = run_cli(

@@ -22,7 +22,7 @@ from minranklab.minrank import (
     solver_work_estimate,
 )
 
-from _oracles import oracle_minrank
+from _oracles import oracle_first_feasible_space, oracle_minrank, oracle_rref
 
 
 def all_graphs(n):
@@ -230,14 +230,51 @@ class TestWitnessContracts:
         g = cycle_graph(5)
         assert minrank_exact(g, 2).witness == minrank_exact(g, 2).witness
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_jobs_value_and_witness_identical(self, p):
-        # k = 2, 3 fail in every chunk before k = 4 succeeds
-        g = seeded_digraph(0, 6)
-        r1 = minrank_exact(g, p, jobs=1)
-        r2 = minrank_exact(g, p, jobs=3)
-        assert r1.lower < r1.value < r1.upper
-        assert (r1.value, r1.witness) == (r2.value, r2.witness)
+    def test_jobs_other_than_one_refused(self):
+        assert minrank_exact(cycle_graph(5), 2, jobs=1).value == 3
+        with pytest.raises(ValueError, match="runs in one process"):
+            minrank_exact(cycle_graph(5), 2, jobs=2)
+
+
+def all_digraphs(n):
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for mask in range(1 << len(cells)):
+        yield Digraph.from_arcs(n, [c for b, c in enumerate(cells) if (mask >> b) & 1])
+
+
+class TestCanonicalOrder:
+    """Below the upper bound the witness spans the first feasible space in the
+    documented canonical order, which the brute-force oracle lists itself."""
+
+    @staticmethod
+    def sides_checked(graphs, p):
+        """Check each graph that the enumeration decides; per checked graph,
+        whether it was decided in W-perp (2k > n)."""
+        sides = []
+        for g in graphs:
+            r = minrank_exact(g, p)
+            if r.value < r.upper:
+                rows = [list(row) for row in r.witness.entries]
+                assert oracle_rref(rows, p) == oracle_first_feasible_space(g, p, r.value)
+                sides.append(2 * r.value > g.n)
+        return sides
+
+    def test_every_digraph_gf2(self):
+        graphs = (g for n in range(1, 5) for g in all_digraphs(n))
+        assert set(self.sides_checked(graphs, 2)) == {False, True}
+
+    @pytest.mark.parametrize("p, n_max", [(3, 5), (5, 4)])
+    def test_seeded_digraphs_odd_fields(self, p, n_max):
+        # most small digraphs meet their upper bound, so draw until 30 do not
+        rng = random.Random(p)
+        sides = []
+        while len(sides) < 30:
+            n = rng.randint(3, n_max)
+            density = rng.choice((0.5, 0.7))
+            cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+            arcs = [cell for cell in cells if rng.random() < density]
+            sides += self.sides_checked([Digraph.from_arcs(n, arcs)], p)
+        assert set(sides) == {False, True}
 
 
 class TestAnswerChecks:

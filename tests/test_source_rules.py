@@ -59,6 +59,20 @@ def test_only_parallel_starts_processes():
     assert found == []
 
 
+def test_the_solver_imports_nothing_from_parallel():
+    # a solve runs in one process, so its answer and its cost cannot depend
+    # on a worker count
+    tree = ast.parse((Path(minranklab.__file__).parent / "minrank.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            found += [node.lineno for name in names if name.split(".")[-1] == "parallel"]
+    assert found == []
+
+
 def test_no_private_imports_between_modules():
     # a name another module needs is part of its owner's interface, so it is
     # public; `_name` stays free to change inside its own module

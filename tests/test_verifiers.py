@@ -168,6 +168,13 @@ class TestSparseBasisCount:
                     report = verify_sparse_basis_count(n, k, ell, 2, census=census)
                     assert report.ok
 
+    @pytest.mark.parametrize(
+        "k, ell, message", [(3, 1, "rank k=3"), (-1, 1, "rank k=-1"), (1, 0, "sparsity ell=0")]
+    )
+    def test_sweep_that_checks_nothing_refused(self, k, ell, message):
+        with pytest.raises(ValueError, match=f"^{message} leaves no matrix to check"):
+            verify_sparse_basis_count(2, k, ell, 2)
+
 
 class TestBasisWeightCensus:
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (2, 3), (2, 5)])
