@@ -55,6 +55,7 @@ from .matrices import FieldMatrix, RationalMatrix, format_matrix_text
 from .minrank import minrank_exact
 from .verifiers import (
     basis_weight_census,
+    check_sparse_basis_range,
     regime_edge_prob,
     estimate_g,
     verify_forest_bound,
@@ -260,18 +261,21 @@ def _run_verify(args):
         )
     elif args.id == "count":
         n = args.n
+        ks = [args.k] if args.k is not None else list(range(0, n + 1))
+        pairs = [
+            (k, ell)
+            for k in ks
+            for ell in ([args.ell] if args.ell is not None else range(1, n * max(k, 1) + 1))
+        ]
+        for k, ell in pairs:  # before the census, which is the costly part
+            check_sparse_basis_range(n, k, ell)
         census = basis_weight_census(
             n, args.field, jobs=args.jobs, enumeration_budget=budget
         )
         if n < 1:  # a negative size was refused by the census
             raise ValueError(f"matrix size {n} leaves no matrix to check")
-        ks = [args.k] if args.k is not None else list(range(0, n + 1))
-        for k in ks:
-            ells = [args.ell] if args.ell is not None else list(range(1, n * max(k, 1) + 1))
-            for ell in ells:
-                reports.append(
-                    verify_sparse_basis_count(n, k, ell, args.field, census=census)
-                )
+        for k, ell in pairs:
+            reports.append(verify_sparse_basis_count(n, k, ell, args.field, census=census))
     elif args.id == "submatrix":
         # k = 1 at least, so the sweep itself refuses an n_max below 1
         ks = [args.k] if args.k is not None else list(range(1, max(args.n_max, 1) + 1))

@@ -11,13 +11,18 @@ code to the bitmask of projective functionals that do not vanish on it, and
 the test is an OR and an AND-NOT of those masks, run in W or in W-perp,
 whichever has the smaller dimension. The first feasible space in canonical
 order supplies the witness.
+
+Within a pivot set the free cells are filled depth-first in the canonical
+order, and each vertex test runs as soon as every column it reads is fixed,
+so a failing test cuts off every filling below it. The scan still meets the
+feasible fillings in canonical order, so pruning leaves the witness as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence, Union
 
 from .budgets import DEFAULT_SOLVER_BUDGET, check_budget, gaussian_binomial
@@ -150,41 +155,72 @@ def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
     out-neighbors N_v with y_v != 0: masks[v] & ~OR(masks[N_v]) == 0.
     W-perp's basis reads straight off B: each non-pivot column j is the unit
     vector of its own slot, and pivot column c_r holds -B[r][j] in slot j.
+
+    The free cells are filled depth-first, in row-major order, each with the
+    values 0..p-1 in turn, so the leaves come in the product order of the
+    fillings. Each cell adds to one column code (j in W, c_r in W-perp), and
+    a vertex test reads only v's column and its listed columns, so the test
+    runs as soon as the last cell touching those columns is set (at the root
+    when none is free) and a failure cuts the whole subtree below. Every cut
+    leaf fails a test, so the first leaf reached is the first feasible
+    filling in product order, the one a fill-then-test scan would return.
     """
     k = len(pivots)
     cells = _free_cells(n, pivots)
     dual = 2 * k > n
-    base = [0] * n
+    codes = [0] * n
+    # step 0 sets nothing and runs the tests that read no free cell; step
+    # d > 0 sets free cell d - 1 and runs the tests it is the last to touch
+    steps = [(0, [0])]
     if dual:
         slot = {j: s for s, j in enumerate(j for j in range(n) if j not in pivots)}
         for j, s in slot.items():
-            base[j] = p**s
-        deltas = [(pivots[r], [(-a % p) * p ** slot[j] for a in range(p)]) for r, j in cells]
+            codes[j] = p**s
+        steps += [(pivots[r], [(-a % p) * p ** slot[j] for a in range(p)]) for r, j in cells]
     else:
         for r, c in enumerate(pivots):
-            base[c] = p**r
-        deltas = [(j, [a * p**r for a in range(p)]) for r, j in cells]
+            codes[c] = p**r
+        steps += [(j, [a * p**r for a in range(p)]) for r, j in cells]
     table = _nonzero_functionals(p, n - k if dual else k)
-    vertex_tests = tests[dual]
-    for assignment in product(range(p), repeat=len(cells)):
-        codes = base[:]
-        for (j, delta), a in zip(deltas, assignment):
-            codes[j] += delta[a]
-        masks = [table[c] for c in codes]
-        for v, others in vertex_tests:
-            span = 0
-            for u in others:
-                span |= masks[u]
-            if bool(masks[v] & ~span) == dual:
-                break
-        else:
-            rows = [[0] * n for _ in range(k)]
-            for r, c in enumerate(pivots):
-                rows[r][c] = 1
-            for (r, j), value in zip(cells, assignment):
-                rows[r][j] = value
-            return rows
-    return None
+    masks = [table[c] for c in codes]
+    last_step = {j: d for d, (j, _) in enumerate(steps) if d}
+    ready = [[] for _ in steps]
+    for v, others in tests[dual]:
+        ready[max(last_step.get(u, 0) for u in (v, *others))].append((v, others))
+    values = [0] * len(steps)
+
+    def descend(depth):
+        """Try each value of step depth, and below it the steps after it;
+        True at the first feasible leaf, with its filling left in values."""
+        j, delta = steps[depth]
+        start = codes[j]
+        for a, add in enumerate(delta):
+            codes[j] = start + add
+            masks[j] = table[codes[j]]
+            for v, others in ready[depth]:
+                span = 0
+                for u in others:
+                    span |= masks[u]
+                if bool(masks[v] & ~span) == dual:
+                    break
+            else:
+                if depth + 1 == len(steps) or descend(depth + 1):
+                    values[depth] = a
+                    return True
+        codes[j] = start
+        masks[j] = table[start]
+        return False
+
+    found = descend(0)
+    del descend  # it refers to itself, a cycle that would hold this state until gc
+    if not found:
+        return None
+    rows = [[0] * n for _ in range(k)]
+    for r, c in enumerate(pivots):
+        rows[r][c] = 1
+    for (r, j), value in zip(cells, values[1:]):
+        rows[r][j] = value
+    return rows
 
 
 def _witness_from_space(n: int, p: int, rows, outside) -> FieldMatrix:

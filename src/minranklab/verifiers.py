@@ -222,6 +222,15 @@ def basis_weight_census(
     return counts
 
 
+def check_sparse_basis_range(n: int, k: int, ell: int) -> None:
+    """Refuse a rank k outside 0..n or a sparsity ell below 1, which leave no
+    n x n matrix for the sparse-basis count to check."""
+    if not 0 <= k <= n:
+        raise ValueError(f"rank k={k} leaves no matrix to check")
+    if ell < 1:
+        raise ValueError(f"sparsity ell={ell} leaves no matrix to check")
+
+
 def verify_sparse_basis_count(
     n: int,
     k: int,
@@ -232,10 +241,7 @@ def verify_sparse_basis_count(
     census: Optional[dict] = None,
 ) -> VerificationReport:
     """Exact count of rank-k matrices with ell-sparse bases is within its bound."""
-    if not 0 <= k <= n:
-        raise ValueError(f"rank k={k} leaves no matrix to check")
-    if ell < 1:
-        raise ValueError(f"sparsity ell={ell} leaves no matrix to check")
+    check_sparse_basis_range(n, k, ell)
     if census is None:
         census = basis_weight_census(n, p, jobs, enumeration_budget)
     count = sum(

@@ -336,6 +336,20 @@ class TestVerifyCommand:
         assert captured.err == f"error: {message} leaves no matrix to check\n"
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [(["--k", "9"], "rank k=9"), (["--k", "1", "--ell", "0"], "sparsity ell=0")],
+    )
+    def test_count_refused_before_the_census(self, capsys, monkeypatch, flags, message):
+        def census(*args, **kwargs):
+            raise RuntimeError("the census ran")
+
+        monkeypatch.setattr(cli, "basis_weight_census", census)
+        code = main(["verify", "lemma", "--id", "count", "--n", "4", "--field", "2", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message} leaves no matrix to check\n"
+
+    @pytest.mark.parametrize(
         "flags, unread",
         [
             (["--id", "sparsity", "--n", "5", "--field", "2"], "--n"),

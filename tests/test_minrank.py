@@ -1,6 +1,9 @@
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minranklab import graphs, minrank
 from minranklab.budgets import BudgetExceededError
@@ -131,6 +134,10 @@ class TestSolverAnchors:
             minrank_exact(cycle_graph(5), 4)
 
 
+# per field, the most arcs whose p^arcs fillings the oracle lists (at most 15,625)
+ORACLE_MAX_ARCS = {2: 13, 3: 8, 5: 6}
+
+
 class TestSolverAgainstOracle:
     @pytest.mark.parametrize("p", [2, 3])
     def test_exhaustive_n3(self, p):
@@ -188,6 +195,17 @@ class TestSolverAgainstOracle:
     def test_bidirected_matches_graph(self):
         for g in all_graphs(4):
             assert minrank_exact(bidirected(g), 2).value == minrank_exact(g, 2).value
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_digraphs_against_oracle(self, data):
+        p = data.draw(st.sampled_from(sorted(ORACLE_MAX_ARCS)))
+        n = data.draw(st.integers(1, 5))
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        arcs = data.draw(st.lists(st.sampled_from(cells), unique=True,
+                                  max_size=ORACLE_MAX_ARCS[p])) if cells else []
+        d = Digraph.from_arcs(n, arcs)
+        assert minrank_exact(d, p).value == oracle_minrank(d, p)
 
 
 class TestKernel:
@@ -247,17 +265,49 @@ class TestCanonicalOrder:
     documented canonical order, which the brute-force oracle lists itself."""
 
     @staticmethod
-    def sides_checked(graphs, p):
+    def checked(g, p):
+        """Solve g; if the enumeration decides it, check the witness."""
+        r = minrank_exact(g, p)
+        if r.value < r.upper:
+            rows = [list(row) for row in r.witness.entries]
+            assert oracle_rref(rows, p) == oracle_first_feasible_space(g, p, r.value)
+        return r
+
+    @classmethod
+    def sides_checked(cls, graphs, p):
         """Check each graph that the enumeration decides; per checked graph,
         whether it was decided in W-perp (2k > n)."""
         sides = []
         for g in graphs:
-            r = minrank_exact(g, p)
+            r = cls.checked(g, p)
             if r.value < r.upper:
-                rows = [list(row) for row in r.witness.entries]
-                assert oracle_rref(rows, p) == oracle_first_feasible_space(g, p, r.value)
                 sides.append(2 * r.value > g.n)
         return sides
+
+    @staticmethod
+    def root_cuts(g, p, k):
+        """How many k-dimensional pivot sets a vertex test refuses before any
+        free cell is filled: the test reads only columns that no free cell
+        sets (in W cell (r, j) sets column j, in W-perp column c_r), so it
+        is decided on the pivot rows alone, here by listing their span."""
+        n = g.n
+        cuts = 0
+        for pivots in combinations(range(n), k):
+            cells = [(r, j) for r, c in enumerate(pivots) for j in range(c + 1, n)
+                     if j not in pivots]
+            touched = {pivots[r] for r, _ in cells} if 2 * k > n else {j for _, j in cells}
+            space = [[coeffs[pivots.index(j)] if j in pivots else 0 for j in range(n)]
+                     for coeffs in product(range(p), repeat=k)]
+            for v in range(n):
+                allowed = {v} | {j for j in range(n) if (g.adj[v] >> j) & 1}
+                read = allowed if 2 * k > n else {v} | (set(range(n)) - allowed)
+                if not read & touched and not any(
+                    x[v] and not any(x[j] for j in range(n) if j not in allowed)
+                    for x in space
+                ):
+                    cuts += 1
+                    break
+        return cuts
 
     def test_every_digraph_gf2(self):
         graphs = (g for n in range(1, 5) for g in all_digraphs(n))
@@ -275,6 +325,35 @@ class TestCanonicalOrder:
             arcs = [cell for cell in cells if rng.random() < density]
             sides += self.sides_checked([Digraph.from_arcs(n, arcs)], p)
         assert set(sides) == {False, True}
+
+    def test_every_graph_n5_gf2(self):
+        # every 5-vertex graph meets its upper bound over GF(2), so no witness
+        # comes from the enumeration; its scans below the value must all come
+        # back empty, pivot sets cut at the root among them
+        cuts = 0
+        for g in all_graphs(5):
+            r = minrank_exact(g, 2)
+            assert r.value == r.upper
+            for k in range(r.lower, r.value):
+                assert oracle_first_feasible_space(g, 2, k) is None
+                cuts += self.root_cuts(g, 2, k)
+        assert cuts > 0
+
+    # the GF(3) oracle lists every space up to the witness, so its seed was
+    # picked for four graphs that take it about 2 s, two of them in W-perp
+    @pytest.mark.parametrize("p, seed, count", [(2, 12, 30), (3, 11, 4)])
+    def test_seeded_digraphs_n6(self, p, seed, count):
+        rng = random.Random(seed)
+        cells = [(i, j) for i in range(6) for j in range(6) if i != j]
+        sides, cuts = [], 0
+        while len(sides) < count:
+            density = rng.choice((0.5, 0.7))
+            g = Digraph.from_arcs(6, [cell for cell in cells if rng.random() < density])
+            r = self.checked(g, p)
+            if r.value < r.upper:
+                sides.append(2 * r.value > 6)
+                cuts += sum(self.root_cuts(g, p, k) for k in range(r.lower, r.value))
+        assert set(sides) == {False, True} and cuts > 0
 
 
 class TestAnswerChecks:

@@ -73,6 +73,25 @@ def test_the_solver_imports_nothing_from_parallel():
     assert found == []
 
 
+def test_the_solver_imports_no_product():
+    # the pivot-set scan fills its free cells depth-first and prunes a subtree
+    # as soon as a vertex test fails; a loop over itertools.product would fill
+    # all p^cells fillings before it tested any vertex
+    tree = ast.parse((Path(minranklab.__file__).parent / "minrank.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "itertools"
+        and any(alias.name == "product" for alias in node.names)
+        or isinstance(node, ast.Attribute)
+        and node.attr == "product"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "itertools"
+    ]
+    assert found == []
+
+
 def test_no_private_imports_between_modules():
     # a name another module needs is part of its owner's interface, so it is
     # public; `_name` stays free to change inside its own module
