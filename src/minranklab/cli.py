@@ -233,16 +233,20 @@ def _run_lll(args):
     return result, False
 
 
-# the flags among --n, --k, --ell and --h (all default None) that each lemma reads
+# the flags among --n, --n-max, --k, --ell and --h (all default None) that
+# each lemma reads
 _LEMMA_FLAGS = {
-    "sparsity": (), "count": ("n", "k", "ell"), "submatrix": ("k",), "forest": ("n", "h"),
+    "sparsity": ("n_max",),
+    "count": ("n", "k", "ell"),
+    "submatrix": ("n_max", "k"),
+    "forest": ("n", "h"),
 }
 
 
 def _run_verify(args):
     unread = [
-        f"--{flag}"
-        for flag in ("n", "k", "ell", "h")
+        "--" + flag.replace("_", "-")
+        for flag in ("n", "n_max", "k", "ell", "h")
         if getattr(args, flag) is not None and flag not in _LEMMA_FLAGS[args.id]
     ]
     if unread:
@@ -251,13 +255,13 @@ def _run_verify(args):
         raise ValueError(f"--n is required for --id {args.id}")
     if args.id == "forest" and args.h is None:
         raise ValueError("--h is required for --id forest")
+    if args.id in ("sparsity", "submatrix") and args.n_max is None:
+        args.n_max = 3  # set here, so the manifest records the default
     reports = []
     budget = args.enumeration_budget
     if args.id == "sparsity":
         reports.append(
-            verify_sparsity_lower_bound(
-                args.n_max, args.field, jobs=args.jobs, enumeration_budget=budget
-            )
+            verify_sparsity_lower_bound(args.n_max, args.field, enumeration_budget=budget)
         )
     elif args.id == "count":
         n = args.n
@@ -269,9 +273,7 @@ def _run_verify(args):
         ]
         for k, ell in pairs:  # before the census, which is the costly part
             check_sparse_basis_range(n, k, ell)
-        census = basis_weight_census(
-            n, args.field, jobs=args.jobs, enumeration_budget=budget
-        )
+        census = basis_weight_census(n, args.field, enumeration_budget=budget)
         if n < 1:  # a negative size was refused by the census
             raise ValueError(f"matrix size {n} leaves no matrix to check")
         for k, ell in pairs:
@@ -282,7 +284,7 @@ def _run_verify(args):
         for k in ks:
             reports.append(
                 verify_principal_submatrix_decomposition(
-                    args.n_max, k, args.field, jobs=args.jobs, enumeration_budget=budget
+                    args.n_max, k, args.field, enumeration_budget=budget
                 )
             )
     elif args.id == "forest":
@@ -329,7 +331,6 @@ def _run_estimate(args):
         args.samples,
         edge_prob=edge_prob,
         seed=seed,
-        jobs=args.jobs,
     )
     line = {
         "n": estimate.n,
@@ -424,12 +425,11 @@ def _build_parser() -> _Parser:
     p_lemma.add_argument("--id", required=True,
                          choices=["sparsity", "count", "submatrix", "forest"])
     p_lemma.add_argument("--n", type=int)
-    p_lemma.add_argument("--n-max", type=int, default=3)
+    p_lemma.add_argument("--n-max", type=int)
     p_lemma.add_argument("--k", type=int)
     p_lemma.add_argument("--ell", type=int)
     p_lemma.add_argument("--field", type=int, default=2)
     p_lemma.add_argument("--h")
-    p_lemma.add_argument("--jobs", type=int, default=1)
     p_lemma.add_argument(
         "--enumeration-budget", type=int, default=DEFAULT_ENUMERATION_BUDGET
     )
@@ -447,7 +447,6 @@ def _build_parser() -> _Parser:
     p_gest.add_argument("--seed", type=int)
     p_gest.add_argument("--edge-prob", type=float, default=0.5)
     p_gest.add_argument("--regime-edge-prob", action="store_true")
-    p_gest.add_argument("--jobs", type=int, default=1)
     p_gest.add_argument("--csv")
     p_gest.add_argument("--out")
     p_gest.set_defaults(handler=_run_estimate, style="lines")

@@ -2,10 +2,9 @@
 
 Vertices are 0..n-1 and every adjacency row is a Python int used as a bitset,
 which keeps the exhaustive searches in the rest of the package cheap. All
-graph values are immutable after construction, so they can be shared freely
-across worker processes. Besides constructors, the module answers subgraph
-containment, shortest odd cycles, exact independence and chromatic numbers,
-and an isomorphism-invariant canonical key.
+graph values are immutable after construction. Besides constructors, the
+module answers subgraph containment, shortest odd cycles, exact independence
+and chromatic numbers, and an isomorphism-invariant canonical key.
 """
 
 from __future__ import annotations

@@ -6,15 +6,13 @@ finds, and reports reproducible parameters.
 
 The three matrix sweeps share one path. A table per row position lists the
 rows allowed there (all of GF(p)^n, or for the nonzero-diagonal domain the
-vectors nonzero at that position), and a matrix index is read digit by digit
-in the tables' lengths. Every matrix is visited and checked on its own.
-The sparsity sweep needs only the rank of the rows and computes it directly.
-The census reads the profiles of the rows and the columns, the submatrix
-sweep those of each principal block; within one worker chunk only the
+vectors nonzero at that position), and the matrices are listed as all row
+choices, row 0 varying fastest. Every matrix is visited and checked on its
+own. The sparsity sweep needs only the rank of the rows and computes it
+directly. The census reads the profiles of the rows and the columns, the
+submatrix sweep those of each principal block; within one call only the
 (rank, min basis weight) of each multiset of vectors is memoized, which does
-not depend on the order of the vectors.
-Sweeps partition their index space across workers; violation lists are
-order-normalized so the output is schedule-independent.
+not depend on the order of the vectors. Violation lists are order-normalized.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 from .budgets import (
@@ -43,7 +41,6 @@ from .graphs import (
 )
 from .matrices import is_prime, min_basis_weight, mod_rank
 from .minrank import minrank_exact
-from .parallel import map_chunks, split_range
 
 
 @dataclass(frozen=True)
@@ -81,16 +78,11 @@ def _row_tables(n: int, p: int, nonzero_diagonal: bool) -> list[list[tuple[int, 
     return [vectors] * n
 
 
-def _matrices(tables: list, start: int, stop: int):
-    """The matrices with index in [start, stop) as lists of row tuples: row i
-    is tables[i][digit i], the index read in mixed radix, row 0 lowest."""
-    sized = [(len(table), table) for table in tables]
-    for index in range(start, stop):
-        rows = []
-        for size, table in sized:
-            index, code = divmod(index, size)
-            rows.append(table[code])
-        yield rows
+def _matrices(tables: list):
+    """Every matrix whose row i comes from tables[i], as a tuple of row
+    tuples, row 0 varying fastest."""
+    for reversed_rows in product(*reversed(tables)):
+        yield reversed_rows[::-1]
 
 
 def _profile(multiset: tuple, p: int, memo: dict, k: Optional[int] = None) -> tuple:
@@ -125,75 +117,51 @@ def _nonzeros(rows: list) -> int:
     return sum(1 for row in rows for x in row if x)
 
 
-def _nonzero_diagonal_sweep(
-    worker, extra: tuple, n_max: int, p: int, jobs: int, enumeration_budget: int
-) -> tuple[int, list]:
-    """Run worker over the nonzero-diagonal n x n matrices for n = 1..n_max;
-    each chunk gets (n, p, *extra, start, stop). Returns the number of
-    matrices checked and the normalized violations."""
+def _nonzero_diagonal_total(n_max: int, p: int, enumeration_budget: int) -> int:
+    """The number of nonzero-diagonal n x n matrices for n = 1..n_max, after
+    refusing a sweep that checks nothing or whose size at some n is over
+    budget, before any matrix is listed."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if n_max < 1:
         raise ValueError(f"n_max {n_max} leaves no matrix to check")
-    checked = 0
-    violations: list = []
+    total = 0
     for n in range(1, n_max + 1):
-        total = _domain_size(n, p, True)
-        check_budget(total, enumeration_budget, f"matrix sweep at n={n}, p={p}")
-        spans = split_range(total, jobs)
-        for found in map_chunks(worker, [(n, p, *extra, a, b) for a, b in spans], jobs):
-            violations.extend(found)
-        checked += total
-    return checked, _normalize(violations)
+        size = _domain_size(n, p, True)
+        check_budget(size, enumeration_budget, f"matrix sweep at n={n}, p={p}")
+        total += size
+    return total
 
 
 # ---------------------------------------------------------------------------
 # sweep: sparsity lower bound for nonzero-diagonal matrices
 
-def _sparsity_worker(args) -> list:
-    n, p, start, stop = args
-    violations = []
-    for rows in _matrices(_row_tables(n, p, True), start, stop):
-        k = mod_rank(rows, p)
-        s = _nonzeros(rows)
-        if 4 * k * s < n * n:
-            violations.append(
-                {"n": n, "matrix": [list(r) for r in rows], "rank": k, "sparsity": s}
-            )
-    return violations
-
-
 def verify_sparsity_lower_bound(
     n_max: int,
     p: int,
-    jobs: int = 1,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerificationReport:
     """Every nonzero-diagonal matrix satisfies sparsity >= n^2 / (4 rank)."""
-    checked, violations = _nonzero_diagonal_sweep(
-        _sparsity_worker, (), n_max, p, jobs, enumeration_budget
-    )
+    checked = _nonzero_diagonal_total(n_max, p, enumeration_budget)
+    violations = []
+    for n in range(1, n_max + 1):
+        for rows in _matrices(_row_tables(n, p, True)):
+            k = mod_rank(rows, p)
+            s = _nonzeros(rows)
+            if 4 * k * s < n * n:
+                violations.append(
+                    {"n": n, "matrix": [list(r) for r in rows], "rank": k, "sparsity": s}
+                )
     return VerificationReport(
         lemma="sparsity-lower-bound",
         params={"n_max": n_max, "p": p},
         instances_checked=checked,
-        violations=violations,
+        violations=_normalize(violations),
     )
 
 
 # ---------------------------------------------------------------------------
 # sweep: counting matrices with sparse column and row bases
-
-def _census_worker(args) -> dict:
-    """Census counts of the matrices with index in [start, stop)."""
-    n, p, start, stop = args
-    memo: dict = {}
-    counts: dict[tuple[int, int, int], int] = {}
-    for rows in _matrices(_row_tables(n, p, False), start, stop):
-        key = _matrix_profile(rows, p, memo)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
 
 def basis_weight_census(
     n: int,
@@ -203,22 +171,27 @@ def basis_weight_census(
 ) -> dict[tuple[int, int, int], int]:
     """Counts of all n x n matrices by (rank, min column/row basis weights).
 
-    The enumeration is raw: every matrix is decoded from its index and
-    counted on its own. Only the (rank, min basis weight) of each multiset
-    of row or column vectors is memoized, within one worker chunk, and a
-    matrix whose row and column ranks disagree raises RuntimeError.
+    The enumeration is raw: every matrix is listed and counted on its own.
+    Only the (rank, min basis weight) of each multiset of row or column
+    vectors is memoized, and a matrix whose row and column ranks disagree
+    raises RuntimeError.
+
+    The census runs in one process; `jobs` stays only so that `jobs=1`
+    calls keep working, and any other value is refused.
     """
+    if jobs != 1:
+        raise ValueError(f"the census runs in one process, so jobs must be 1, not {jobs}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if n < 0:
         raise ValueError(f"matrix size {n} is negative")
     total = _domain_size(n, p, False)
     check_budget(total, enumeration_budget, f"matrix census at n={n}, p={p}")
-    spans = split_range(total, jobs)
+    memo: dict = {}
     counts: dict[tuple[int, int, int], int] = {}
-    for partial in map_chunks(_census_worker, [(n, p, a, b) for a, b in spans], jobs):
-        for key, value in partial.items():
-            counts[key] = counts.get(key, 0) + value
+    for rows in _matrices(_row_tables(n, p, False)):
+        key = _matrix_profile(rows, p, memo)
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -236,14 +209,13 @@ def verify_sparse_basis_count(
     k: int,
     ell: int,
     p: int,
-    jobs: int = 1,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
     census: Optional[dict] = None,
 ) -> VerificationReport:
     """Exact count of rank-k matrices with ell-sparse bases is within its bound."""
     check_sparse_basis_range(n, k, ell)
     if census is None:
-        census = basis_weight_census(n, p, jobs, enumeration_budget)
+        census = basis_weight_census(n, p, enumeration_budget=enumeration_budget)
     count = sum(
         value
         for (rank, wc, wr), value in census.items()
@@ -271,47 +243,40 @@ def _subsets(n: int) -> list[tuple[int, ...]]:
     return [t for size in range(1, n + 1) for t in combinations(range(n), size)]
 
 
-def _submatrix_worker(args) -> list:
-    n, p, k, start, stop = args
-    subsets = _subsets(n)
-    memo: dict = {}
-    violations = []
-    for rows in _matrices(_row_tables(n, p, True), start, stop):
-        if _profile(tuple(sorted(rows)), p, memo)[0] > k:
-            continue
-        for t in subsets:
-            block = [tuple(rows[i][j] for j in t) for i in t]
-            k_prime, column_weight, row_weight = _matrix_profile(block, p, memo)
-            n_prime = len(t)
-            if k_prime * n > k * n_prime:
-                continue
-            # ell = 2 s' k' / n' as a rational threshold: compare cleared of n'
-            bound = 2 * _nonzeros(block) * k_prime
-            if column_weight * n_prime <= bound and row_weight * n_prime <= bound:
-                break
-        else:
-            violations.append({"n": n, "k": k, "matrix": [list(r) for r in rows]})
-    return violations
-
-
 def verify_principal_submatrix_decomposition(
     n_max: int,
     k: int,
     p: int,
-    jobs: int = 1,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerificationReport:
     """Every rank<=k nonzero-diagonal matrix has a qualifying principal block."""
     if k < 1:
         raise ValueError(f"rank bound k={k} leaves no matrix to check")
-    checked, violations = _nonzero_diagonal_sweep(
-        _submatrix_worker, (k,), n_max, p, jobs, enumeration_budget
-    )
+    checked = _nonzero_diagonal_total(n_max, p, enumeration_budget)
+    memo: dict = {}
+    violations = []
+    for n in range(1, n_max + 1):
+        subsets = _subsets(n)
+        for rows in _matrices(_row_tables(n, p, True)):
+            if _profile(tuple(sorted(rows)), p, memo)[0] > k:
+                continue
+            for t in subsets:
+                block = [tuple(rows[i][j] for j in t) for i in t]
+                k_prime, column_weight, row_weight = _matrix_profile(block, p, memo)
+                n_prime = len(t)
+                if k_prime * n > k * n_prime:
+                    continue
+                # ell = 2 s' k' / n' as a rational threshold: compare cleared of n'
+                bound = 2 * _nonzeros(block) * k_prime
+                if column_weight * n_prime <= bound and row_weight * n_prime <= bound:
+                    break
+            else:
+                violations.append({"n": n, "k": k, "matrix": [list(r) for r in rows]})
     return VerificationReport(
         lemma="principal-submatrix-decomposition",
         params={"n_max": n_max, "k": k, "p": p},
         instances_checked=checked,
-        violations=violations,
+        violations=_normalize(violations),
     )
 
 
@@ -455,23 +420,6 @@ class SamplingEstimate:
     seed: int
 
 
-def _sample_graph(n: int, edge_prob: float, seed: int) -> Graph:
-    return underlying_graph(sample_digraph(n, edge_prob, seed))
-
-
-def _estimate_worker(args) -> list[Optional[int]]:
-    """Per seed: the sample's minrank, or None when its complement has H."""
-    n, p, h_graph, edge_prob, seeds, work_budget = args
-    values = []
-    for s in seeds:
-        g = _sample_graph(n, edge_prob, s)
-        if contains_subgraph(complement(g), h_graph):
-            values.append(None)
-        else:
-            values.append(minrank_exact(g, p, work_budget).value)
-    return values
-
-
 def estimate_g(
     n: int,
     h_graph: Graph,
@@ -479,7 +427,6 @@ def estimate_g(
     samples: int,
     edge_prob: float = 0.5,
     seed: int = 0,
-    jobs: int = 1,
     work_budget: int = DEFAULT_SOLVER_BUDGET,
 ) -> SamplingEstimate:
     """Empirical lower bound on the extremal minrank by bidirected sampling.
@@ -487,31 +434,31 @@ def estimate_g(
     Each sample draws a random digraph (arc probability edge_prob), keeps the
     bidirected underlying graph, rejects it unless its complement avoids the
     pattern, and solves the survivors exactly. Deterministic per seed: sample
-    i uses the i-th derived seed regardless of worker partitioning, and the
-    witness is the first sample attaining the maximum, redrawn from its seed.
+    i uses the i-th getrandbits(63) of Random(seed) as its seed, and the
+    witness is the first sample attaining the maximum.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    seeds = [rng.getrandbits(63) for _ in range(samples)]
-    spans = split_range(samples, jobs)
-    chunks = map_chunks(
-        _estimate_worker,
-        [(n, p, h_graph, edge_prob, seeds[a:b], work_budget) for a, b in spans],
-        jobs,
-    )
-    values = [v for chunk in chunks for v in chunk]
-    # the first sample attaining the maximum: the largest (value, -index)
-    scored = [(v, -i) for i, v in enumerate(values) if v is not None]
-    best = max(scored, default=None)
+    accepted = 0
+    best: Optional[int] = None
+    witness: Optional[Graph] = None
+    for _ in range(samples):
+        g = underlying_graph(sample_digraph(n, edge_prob, rng.getrandbits(63)))
+        if contains_subgraph(complement(g), h_graph):
+            continue
+        accepted += 1
+        value = minrank_exact(g, p, work_budget).value
+        if best is None or value > best:
+            best, witness = value, g
     return SamplingEstimate(
         n=n,
         p=p,
         samples=samples,
-        accepted=len(scored),
-        acceptance_rate=len(scored) / samples,
-        best=None if best is None else best[0],
-        witness=None if best is None else _sample_graph(n, edge_prob, seeds[-best[1]]),
+        accepted=accepted,
+        acceptance_rate=accepted / samples,
+        best=best,
+        witness=witness,
         edge_prob=edge_prob,
         seed=seed,
     )

@@ -89,12 +89,16 @@ def oracle_first_feasible_space(g, p: int, k: int) -> list[list[int]] | None:
 
     Canonical order: pivot sets in combinations order; for each, the free
     cells (row r, column j > pivot r, j not a pivot) row-major, filled in
-    product order. Feasibility is decided by listing all p^k vectors.
+    product order. Vertex i is served when column i of the basis raises the
+    rank of its forbidden columns: then some combination of the rows is
+    zero on every forbidden column and nonzero at i. The answer depends only
+    on the set of those columns, so it is memoized on it.
     """
     n = g.n
     forbidden = [
         [j for j in range(n) if j != i and not (g.adj[i] >> j) & 1] for i in range(n)
     ]
+    raises: dict = {}  # (forbidden columns, column i) -> column i raises their rank
     for pivots in combinations(range(n), k):
         free = [
             (r, j)
@@ -108,14 +112,15 @@ def oracle_first_feasible_space(g, p: int, k: int) -> list[list[int]] | None:
                 basis[r][c] = 1
             for (r, j), v in zip(free, values):
                 basis[r][j] = v
-            space = [
-                [sum(a * row[j] for a, row in zip(coeffs, basis)) % p for j in range(n)]
-                for coeffs in product(range(p), repeat=k)
-            ]
-            if all(
-                any(x[i] and not any(x[j] for j in forbidden[i]) for x in space)
-                for i in range(n)
-            ):
+            columns = list(zip(*basis))
+            for i in range(n):
+                key = (frozenset(columns[j] for j in forbidden[i]), columns[i])
+                if key not in raises:
+                    rest = list(key[0])
+                    raises[key] = _plain_mod_rank(rest + [key[1]], p) > _plain_mod_rank(rest, p)
+                if not raises[key]:
+                    break
+            else:
                 return basis
     return None
 

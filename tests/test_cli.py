@@ -62,16 +62,6 @@ def canonical(out: str) -> str:
     return "\n".join(json.dumps(scrub(doc), sort_keys=True) for doc in docs)
 
 
-def result_lines(out: str) -> str:
-    """JSONL payload lines with the manifest line dropped."""
-    lines = [json.loads(line) for line in out.strip().splitlines() if line]
-    return "\n".join(
-        json.dumps(scrub(doc), sort_keys=True)
-        for doc in lines
-        if "manifest" not in doc
-    )
-
-
 @pytest.fixture
 def c5_path(tmp_path):
     path = tmp_path / "c5.g6"
@@ -358,6 +348,8 @@ class TestVerifyCommand:
             (["--id", "submatrix", "--n", "3"], "--n"),
             (["--id", "submatrix", "--ell", "2"], "--ell"),
             (["--id", "forest", "--n", "5", "--h", "P3", "--k", "9", "--ell", "2"], "--k, --ell"),
+            (["--id", "count", "--n", "2", "--n-max", "7", "--field", "2"], "--n-max"),
+            (["--id", "forest", "--n", "4", "--h", "P3", "--n-max", "9"], "--n-max"),
         ],
     )
     def test_flag_the_lemma_does_not_read_exit_1(self, capsys, flags, unread):
@@ -366,6 +358,24 @@ class TestVerifyCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: --id {flags[1]} does not read {unread}\n"
+
+    @pytest.mark.parametrize(
+        "lemma, n_max",
+        [(["--id", "sparsity"], 3), (["--id", "submatrix", "--k", "1"], 3),
+         (["--id", "count", "--n", "2"], None)],
+    )
+    def test_manifest_records_n_max_where_read(self, capsys, lemma, n_max):
+        # the default --n-max 3 is recorded only by the lemmas that read it
+        code, out = run_cli(["verify", "lemma", *lemma, "--field", "2"], capsys)
+        parameters = json.loads(out.splitlines()[0])["manifest"]["parameters"]
+        assert code == 0 and parameters.get("n_max") == n_max
+
+    def test_no_jobs_option(self, capsys):
+        # every sweep runs in one process
+        code = main(["verify", "lemma", "--id", "sparsity", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "unrecognized arguments: --jobs 2" in captured.err
 
     def test_count_sweep_lines(self, capsys):
         code, out = run_cli(
@@ -414,6 +424,14 @@ class TestExperimentCommand:
         assert line["best"] is not None
         assert csv_path.exists()
 
+    def test_no_jobs_option(self, capsys):
+        # the sampler runs in one process
+        code = main(["experiment", "g-estimate", "--n", "4", "--h", "K3", "--field", "2",
+                     "--samples", "40", "--seed", "7", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "unrecognized arguments: --jobs 2" in captured.err
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("MINRANKLAB_SEED", "7")
         _, with_env = run_cli(
@@ -458,16 +476,6 @@ class TestDeterminism:
         _, first = run_cli(argv, capsys)
         _, second = run_cli(argv, capsys)
         assert canonical(first) == canonical(second)
-
-    def test_jobs_invariant_payload(self, capsys):
-        base = [
-            "experiment", "g-estimate", "--n", "5", "--h", "K3", "--field", "2",
-            "--samples", "200", "--seed", "3",
-        ]
-        _, one = run_cli(base + ["--jobs", "1"], capsys)
-        _, two = run_cli(base + ["--jobs", "2"], capsys)
-        assert result_lines(one) == result_lines(two)
-        assert result_lines(one)  # nonempty
 
     def test_out_file_matches_stdout_layout(self, capsys, tmp_path, c5_path):
         out_path = tmp_path / "result.json"

@@ -45,31 +45,16 @@ def test_only_the_cli_reads_the_clock():
     assert found == []
 
 
-def test_only_parallel_starts_processes():
-    # parallel.map_chunks caps its pool at the usable CPU count, so a module
-    # that made its own pool or process could fork one per requested job
+def test_no_module_starts_processes():
+    # every solve and sweep runs in one process, so no answer and no cost
+    # depends on a worker count or a schedule
     package = Path(minranklab.__file__).parent
     found = [
         f"{path.relative_to(package)}:{line}"
         for path in sorted(package.rglob("*.py"))
-        if path.name != "parallel.py"
         for line, name in _imported_modules(path)
-        if name in {"concurrent", "multiprocessing"}
+        if name in {"concurrent", "multiprocessing", "subprocess"}
     ]
-    assert found == []
-
-
-def test_the_solver_imports_nothing_from_parallel():
-    # a solve runs in one process, so its answer and its cost cannot depend
-    # on a worker count
-    tree = ast.parse((Path(minranklab.__file__).parent / "minrank.py").read_text())
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name for alias in node.names]
-            if isinstance(node, ast.ImportFrom):
-                names.append(node.module or "")
-            found += [node.lineno for name in names if name.split(".")[-1] == "parallel"]
     assert found == []
 
 
