@@ -58,6 +58,32 @@ def test_no_module_starts_processes():
     assert found == []
 
 
+def test_only_parallel_starts_processes():
+    # parallel.py held the package's one process pool; it is deleted, so no
+    # module is left that may start processes
+    package = Path(minranklab.__file__).parent
+    found = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if "parallel" in (path.stem, path.parent.name)
+    ]
+    assert found == []
+
+
+def test_the_solver_imports_nothing_from_parallel():
+    # a solve runs in one process, so its answer and its cost cannot depend
+    # on a worker count
+    tree = ast.parse((Path(minranklab.__file__).parent / "minrank.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            found += [node.lineno for name in names if name.split(".")[-1] == "parallel"]
+    assert found == []
+
+
 def test_the_solver_imports_no_product():
     # the pivot-set scan fills its free cells depth-first and prunes a subtree
     # as soon as a vertex test fails; a loop over itertools.product would fill
