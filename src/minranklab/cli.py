@@ -5,6 +5,10 @@ verification sweep found violations, 4 an internal check failed. Single
 results are one JSON document; sweep-style commands emit JSON lines
 (manifest first). Identical invocations produce byte-identical payloads up
 to the manifest timestamps.
+
+Handlers parse flags and render library results; the library owns the
+decisions. `verify lemma --id count` and `--id submatrix` print the reports
+their verifier returns, one per (k, ell) pair or rank k.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import time
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -51,11 +54,9 @@ from .kneser import (
     representation_matrix,
 )
 from .lll import check_lll_inequalities, find_constants, find_threshold, gamma_stats
-from .matrices import FieldMatrix, RationalMatrix, format_matrix_text
+from .matrices import FieldMatrix, format_matrix_text
 from .minrank import minrank_exact
 from .verifiers import (
-    basis_weight_census,
-    check_sparse_basis_range,
     regime_edge_prob,
     estimate_g,
     verify_forest_bound,
@@ -92,25 +93,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
+    """A library result as JSON values: a graph as its graph6 string, a
+    matrix with its shape and modulus, a dataclass as a dict of its fields."""
     if isinstance(obj, Graph):
-        return {"n": obj.n, "graph6": graph_to_graph6(obj)}
-    if isinstance(obj, Digraph):
-        return {"n": obj.n, "arcs": obj.arcs()}
+        return graph_to_graph6(obj)
     if isinstance(obj, FieldMatrix):
         return {
             "rows": obj.rows,
             "cols": obj.cols,
             "modulus": obj.p,
             "entries": [list(r) for r in obj.entries],
-        }
-    if isinstance(obj, RationalMatrix):
-        return {
-            "rows": obj.rows,
-            "cols": obj.cols,
-            "modulus": 0,
-            "entries": [[str(x) for x in r] for r in obj.entries],
         }
     if is_dataclass(obj) and not isinstance(obj, type):
         return {
@@ -148,13 +140,7 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 def _run_minrank(args):
     g = _load_graph_arg(args.graph)
-    result = minrank_exact(g, args.field, work_budget=args.budget)
-    return {
-        "value": result.value,
-        "lower": result.lower,
-        "upper": result.upper,
-        "witness": _jsonable(result.witness),
-    }, False
+    return _jsonable(minrank_exact(g, args.field, work_budget=args.budget)), False
 
 
 def _run_kneser_build(args):
@@ -175,7 +161,7 @@ def _run_kneser_build(args):
         "edge_count": (nonzeros - vertex_count) // 2,
         "rank_bound": witness.rank_bound,
         "coefficients": list(witness.coefficients),
-        "diagonal": int(entries[0][0]) if vertex_count else None,
+        "diagonal": int(entries[0][0]),
         "checks": {"structure": True},
     }
     if args.check_rank:
@@ -203,6 +189,10 @@ def _run_kneser_plan(args):
 
 
 def _run_lll(args):
+    if args.max_exponent is not None and not args.find_threshold:
+        raise ValueError("--max-exponent is read only with --find-threshold")
+    if args.find_threshold and args.max_exponent is None:
+        args.max_exponent = 40  # set here, so the manifest records the default
     h_graph = _load_graph_arg(args.h_graph)
     if isinstance(h_graph, Digraph):
         raise ValueError("the pattern graph must be undirected")
@@ -257,41 +247,22 @@ def _run_verify(args):
         raise ValueError("--h is required for --id forest")
     if args.id in ("sparsity", "submatrix") and args.n_max is None:
         args.n_max = 3  # set here, so the manifest records the default
-    reports = []
     budget = args.enumeration_budget
     if args.id == "sparsity":
-        reports.append(
+        reports = [
             verify_sparsity_lower_bound(args.n_max, args.field, enumeration_budget=budget)
-        )
-    elif args.id == "count":
-        n = args.n
-        ks = [args.k] if args.k is not None else list(range(0, n + 1))
-        pairs = [
-            (k, ell)
-            for k in ks
-            for ell in ([args.ell] if args.ell is not None else range(1, n * max(k, 1) + 1))
         ]
-        for k, ell in pairs:  # before the census, which is the costly part
-            check_sparse_basis_range(n, k, ell)
-        census = basis_weight_census(n, args.field, enumeration_budget=budget)
-        if n < 1:  # a negative size was refused by the census
-            raise ValueError(f"matrix size {n} leaves no matrix to check")
-        for k, ell in pairs:
-            reports.append(verify_sparse_basis_count(n, k, ell, args.field, census=census))
+    elif args.id == "count":
+        reports = verify_sparse_basis_count(
+            args.n, args.field, args.k, args.ell, enumeration_budget=budget
+        )
     elif args.id == "submatrix":
-        # k = 1 at least, so the sweep itself refuses an n_max below 1
-        ks = [args.k] if args.k is not None else list(range(1, max(args.n_max, 1) + 1))
-        for k in ks:
-            reports.append(
-                verify_principal_submatrix_decomposition(
-                    args.n_max, k, args.field, enumeration_budget=budget
-                )
-            )
+        reports = verify_principal_submatrix_decomposition(
+            args.n_max, args.field, args.k, enumeration_budget=budget
+        )
     elif args.id == "forest":
         h_graph = _load_graph_arg(args.h)
-        reports.append(
-            verify_forest_bound(args.n, h_graph, args.field, graph_budget=budget)
-        )
+        reports = [verify_forest_bound(args.n, h_graph, args.field, graph_budget=budget)]
     else:
         raise ValueError(f"unknown lemma id {args.id!r}")
     lines = [_jsonable(r) for r in reports]
@@ -332,17 +303,7 @@ def _run_estimate(args):
         edge_prob=edge_prob,
         seed=seed,
     )
-    line = {
-        "n": estimate.n,
-        "p": estimate.p,
-        "samples": estimate.samples,
-        "accepted": estimate.accepted,
-        "acceptance_rate": estimate.acceptance_rate,
-        "best": estimate.best,
-        "witness": None if estimate.witness is None else graph_to_graph6(estimate.witness),
-        "edge_prob": estimate.edge_prob,
-        "seed": estimate.seed,
-    }
+    line = _jsonable(estimate)
     if args.csv:
         _write_csv(args.csv, list(line.keys()), [list(line.values())])
     return [line], False
@@ -415,7 +376,7 @@ def _build_parser() -> _Parser:
     mode = p_analyze.add_mutually_exclusive_group(required=True)
     mode.add_argument("--n", type=int)
     mode.add_argument("--find-threshold", action="store_true")
-    p_analyze.add_argument("--max-exponent", type=int, default=40)
+    p_analyze.add_argument("--max-exponent", type=int)
     p_analyze.add_argument("--out")
     p_analyze.set_defaults(handler=_run_lll, style="single")
 
@@ -445,8 +406,9 @@ def _build_parser() -> _Parser:
     p_gest.add_argument("--field", type=int, required=True)
     p_gest.add_argument("--samples", type=int, required=True)
     p_gest.add_argument("--seed", type=int)
-    p_gest.add_argument("--edge-prob", type=float, default=0.5)
-    p_gest.add_argument("--regime-edge-prob", action="store_true")
+    arc_prob = p_gest.add_mutually_exclusive_group()
+    arc_prob.add_argument("--edge-prob", type=float, default=0.5)
+    arc_prob.add_argument("--regime-edge-prob", action="store_true")
     p_gest.add_argument("--csv")
     p_gest.add_argument("--out")
     p_gest.set_defaults(handler=_run_estimate, style="lines")

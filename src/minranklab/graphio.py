@@ -90,13 +90,15 @@ def digraph_from_edge_text(text: str) -> Digraph:
         raise ValueError(f"bad header line {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} arcs, found {len(lines) - 1}")
-    arcs = []
+    arcs: dict[tuple[int, int], None] = {}  # in line order
     for line in lines[1:]:
         try:
             u, v = map(int, line.split())
         except ValueError as exc:
             raise ValueError(f"bad arc line {line!r}") from exc
-        arcs.append((u, v))
+        if (u, v) in arcs:
+            raise ValueError(f"arc ({u},{v}) is listed twice")
+        arcs[u, v] = None
     return Digraph.from_arcs(n, arcs)
 
 

@@ -293,8 +293,6 @@ def minrank_exact(
     if not is_prime(p):
         raise ValueError(f"field size {p} is not prime")
     n = g.n
-    if n == 0:
-        return MinrankResult(0, FieldMatrix(p, ()), 0, 0)
     bounds = minrank_bounds(g)
     lower, upper = bounds.lower, bounds.upper
     if lower < upper:

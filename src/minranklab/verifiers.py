@@ -7,12 +7,17 @@ finds, and reports reproducible parameters.
 The three matrix sweeps share one path. A table per row position lists the
 rows allowed there (all of GF(p)^n, or for the nonzero-diagonal domain the
 vectors nonzero at that position), and the matrices are listed as all row
-choices, row 0 varying fastest. Every matrix is visited and checked on its
-own. The sparsity sweep needs only the rank of the rows and computes it
-directly. The census reads the profiles of the rows and the columns, the
-submatrix sweep those of each principal block; within one call only the
-(rank, min basis weight) of each multiset of vectors is memoized, which does
-not depend on the order of the vectors. Violation lists are order-normalized.
+choices. Every matrix is visited and checked on its own. The sparsity sweep
+needs only the rank of the rows and computes it directly. The census reads
+the profiles of the rows and the columns, the submatrix sweep those of each
+principal block; within one call only the (rank, min basis weight) of each
+multiset of vectors is memoized, which does not depend on the order of the
+vectors. Violation lists are order-normalized.
+
+The sparse-basis count and the principal-submatrix sweep check a range of
+(k, ell) pairs or ranks k in one call, one report per pair: each expands its
+own default range, refuses a parameter that leaves no matrix to check before
+any matrix is listed, and lists the matrices once for the whole range.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Optional
 
 from .budgets import (
@@ -76,13 +81,6 @@ def _row_tables(n: int, p: int, nonzero_diagonal: bool) -> list[list[tuple[int, 
     if nonzero_diagonal:
         return [[v for v in vectors if v[i]] for i in range(n)]
     return [vectors] * n
-
-
-def _matrices(tables: list):
-    """Every matrix whose row i comes from tables[i], as a tuple of row
-    tuples, row 0 varying fastest."""
-    for reversed_rows in product(*reversed(tables)):
-        yield reversed_rows[::-1]
 
 
 def _profile(multiset: tuple, p: int, memo: dict, k: Optional[int] = None) -> tuple:
@@ -145,7 +143,7 @@ def verify_sparsity_lower_bound(
     checked = _nonzero_diagonal_total(n_max, p, enumeration_budget)
     violations = []
     for n in range(1, n_max + 1):
-        for rows in _matrices(_row_tables(n, p, True)):
+        for rows in product(*_row_tables(n, p, True)):
             k = mod_rank(rows, p)
             s = _nonzeros(rows)
             if 4 * k * s < n * n:
@@ -189,50 +187,65 @@ def basis_weight_census(
     check_budget(total, enumeration_budget, f"matrix census at n={n}, p={p}")
     memo: dict = {}
     counts: dict[tuple[int, int, int], int] = {}
-    for rows in _matrices(_row_tables(n, p, False)):
+    for rows in product(*_row_tables(n, p, False)):
         key = _matrix_profile(rows, p, memo)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def check_sparse_basis_range(n: int, k: int, ell: int) -> None:
-    """Refuse a rank k outside 0..n or a sparsity ell below 1, which leave no
-    n x n matrix for the sparse-basis count to check."""
-    if not 0 <= k <= n:
-        raise ValueError(f"rank k={k} leaves no matrix to check")
-    if ell < 1:
-        raise ValueError(f"sparsity ell={ell} leaves no matrix to check")
+def _count_pairs(n: int, k: Optional[int], ell: Optional[int]):
+    """The (k, ell) pairs of the sparse-basis count, k outermost: k in 0..n
+    and ell in 1..n*max(k, 1), unless fixed."""
+    for rank in [k] if k is not None else range(n + 1):
+        for weight in [ell] if ell is not None else range(1, n * max(rank, 1) + 1):
+            yield rank, weight
 
 
 def verify_sparse_basis_count(
     n: int,
-    k: int,
-    ell: int,
     p: int,
+    k: Optional[int] = None,
+    ell: Optional[int] = None,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    census: Optional[dict] = None,
-) -> VerificationReport:
-    """Exact count of rank-k matrices with ell-sparse bases is within its bound."""
-    check_sparse_basis_range(n, k, ell)
-    if census is None:
-        census = basis_weight_census(n, p, enumeration_budget=enumeration_budget)
-    count = sum(
-        value
-        for (rank, wc, wr), value in census.items()
-        if rank == k and wc <= ell and wr <= ell
-    )
-    bound = (n * p) ** (6 * ell)
-    violations = []
-    if count > bound:
-        violations.append(
-            {"n": n, "k": k, "ell": ell, "count": count, "bound": bound}
+) -> list[VerificationReport]:
+    """Exact count of rank-k n x n matrices with ell-sparse column and row
+    bases is within its bound, one report per (k, ell) pair of the range.
+
+    A rank k outside 0..n or a sparsity ell below 1 is refused before the
+    census, which is the costly part. Every pair shares a fixed k or ell and
+    the expanded values are in range, so the first pair decides.
+    """
+    for rank, weight in islice(_count_pairs(n, k, ell), 1):
+        if not 0 <= rank <= n:
+            raise ValueError(f"rank k={rank} leaves no matrix to check")
+        if weight < 1:
+            raise ValueError(f"sparsity ell={weight} leaves no matrix to check")
+    census = basis_weight_census(n, p, enumeration_budget=enumeration_budget)
+    if n == 0:  # a negative size was refused by the census
+        raise ValueError(f"matrix size {n} leaves no matrix to check")
+    checked = _domain_size(n, p, False)
+    reports = []
+    for rank, weight in _count_pairs(n, k, ell):
+        count = sum(
+            value
+            for (r, wc, wr), value in census.items()
+            if r == rank and wc <= weight and wr <= weight
         )
-    return VerificationReport(
-        lemma="sparse-basis-count",
-        params={"n": n, "k": k, "ell": ell, "p": p},
-        instances_checked=_domain_size(n, p, False),
-        violations=_normalize(violations),
-    )
+        bound = (n * p) ** (6 * weight)
+        violations = []
+        if count > bound:
+            violations.append(
+                {"n": n, "k": rank, "ell": weight, "count": count, "bound": bound}
+            )
+        reports.append(
+            VerificationReport(
+                lemma="sparse-basis-count",
+                params={"n": n, "k": rank, "ell": weight, "p": p},
+                instances_checked=checked,
+                violations=violations,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +258,48 @@ def _subsets(n: int) -> list[tuple[int, ...]]:
 
 def verify_principal_submatrix_decomposition(
     n_max: int,
-    k: int,
     p: int,
+    k: Optional[int] = None,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> VerificationReport:
-    """Every rank<=k nonzero-diagonal matrix has a qualifying principal block."""
-    if k < 1:
+) -> list[VerificationReport]:
+    """Every rank<=k nonzero-diagonal matrix of size at most n_max has a
+    qualifying principal block, one report per k in 1..n_max unless fixed."""
+    if k is not None and k < 1:
         raise ValueError(f"rank bound k={k} leaves no matrix to check")
     checked = _nonzero_diagonal_total(n_max, p, enumeration_budget)
+    ks = [k] if k is not None else range(1, n_max + 1)
     memo: dict = {}
-    violations = []
+    violations: dict[int, list] = {rank_bound: [] for rank_bound in ks}
     for n in range(1, n_max + 1):
         subsets = _subsets(n)
-        for rows in _matrices(_row_tables(n, p, True)):
-            if _profile(tuple(sorted(rows)), p, memo)[0] > k:
-                continue
-            for t in subsets:
-                block = [tuple(rows[i][j] for j in t) for i in t]
-                k_prime, column_weight, row_weight = _matrix_profile(block, p, memo)
-                n_prime = len(t)
-                if k_prime * n > k * n_prime:
+        for rows in product(*_row_tables(n, p, True)):
+            rank = _profile(tuple(sorted(rows)), p, memo)[0]
+            for rank_bound in ks:
+                if rank > rank_bound:
                     continue
-                # ell = 2 s' k' / n' as a rational threshold: compare cleared of n'
-                bound = 2 * _nonzeros(block) * k_prime
-                if column_weight * n_prime <= bound and row_weight * n_prime <= bound:
-                    break
-            else:
-                violations.append({"n": n, "k": k, "matrix": [list(r) for r in rows]})
-    return VerificationReport(
-        lemma="principal-submatrix-decomposition",
-        params={"n_max": n_max, "k": k, "p": p},
-        instances_checked=checked,
-        violations=_normalize(violations),
-    )
+                for t in subsets:
+                    block = [tuple(rows[i][j] for j in t) for i in t]
+                    k_prime, column_weight, row_weight = _matrix_profile(block, p, memo)
+                    n_prime = len(t)
+                    if k_prime * n > rank_bound * n_prime:
+                        continue
+                    # ell = 2 s' k' / n' as a rational threshold: compare cleared of n'
+                    bound = 2 * _nonzeros(block) * k_prime
+                    if column_weight * n_prime <= bound and row_weight * n_prime <= bound:
+                        break
+                else:
+                    violations[rank_bound].append(
+                        {"n": n, "k": rank_bound, "matrix": [list(r) for r in rows]}
+                    )
+    return [
+        VerificationReport(
+            lemma="principal-submatrix-decomposition",
+            params={"n_max": n_max, "k": rank_bound, "p": p},
+            instances_checked=checked,
+            violations=_normalize(found),
+        )
+        for rank_bound, found in violations.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

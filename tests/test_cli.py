@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from minranklab import cli, kneser
+from minranklab import cli, kneser, verifiers
 from minranklab.cli import main
 from minranklab.graphio import write_graph6
 from minranklab.graphs import cycle_graph
@@ -80,6 +80,48 @@ class TestMinrankCommand:
         assert doc["result"]["lower"] == 2
         assert doc["result"]["upper"] == 3
         assert doc["result"]["witness"]["modulus"] == 2
+
+    def test_c5_document_pinned(self, capsys):
+        code, out = run_cli(["minrank", "exact", "--field", "2", "--graph", "C5"], capsys)
+        assert code == 0
+        assert scrub(json.loads(out)) == {
+            "manifest": {
+                "argv": ["minrank", "exact", "--field", "2", "--graph", "C5"],
+                "command": "minrank exact --field 2 --graph C5",
+                "outputs": [],
+                "parameters": {"budget": 10000000, "field": 2, "graph": "C5"},
+                "seed": None,
+                "version": "0.1.0",
+            },
+            "result": {
+                "lower": 2,
+                "upper": 3,
+                "value": 3,
+                "witness": {
+                    "cols": 5,
+                    "entries": [
+                        [1, 1, 0, 0, 0],
+                        [1, 1, 0, 0, 0],
+                        [0, 0, 1, 1, 0],
+                        [0, 0, 1, 1, 0],
+                        [0, 0, 0, 0, 1],
+                    ],
+                    "modulus": 2,
+                    "rows": 5,
+                },
+            },
+        }
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_zero_vertex_graph_payload(self, capsys, p):
+        code, out = run_cli(["minrank", "exact", "--field", str(p), "--graph", "empty0"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "lower": 0,
+            "upper": 0,
+            "value": 0,
+            "witness": {"cols": 0, "entries": [], "modulus": p, "rows": 0},
+        }
 
     def test_named_graph_accepted(self, capsys):
         code, out = run_cli(
@@ -274,6 +316,26 @@ class TestLLLCommand:
         assert result["n0"] is None
         assert all(not entry["holds"] for entry in result["grid"])
 
+    def test_max_exponent_only_with_find_threshold(self, capsys):
+        # a fixed --n checks one size and reads no exponent
+        code = main(["lll", "analyze", "--h-graph", "K3", "--field-size", "2",
+                     "--n", "1000", "--max-exponent", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --max-exponent is read only with --find-threshold\n"
+
+    @pytest.mark.parametrize(
+        "mode, max_exponent",
+        [(["--find-threshold"], 40), (["--find-threshold", "--max-exponent", "3"], 3),
+         (["--n", "1000"], None)],
+    )
+    def test_manifest_records_max_exponent_where_read(self, capsys, mode, max_exponent):
+        code, out = run_cli(
+            ["lll", "analyze", "--h-graph", "K3", "--field-size", "2", *mode], capsys
+        )
+        parameters = json.loads(out)["manifest"]["parameters"]
+        assert code == 0 and parameters.get("max_exponent") == max_exponent
+
 
 class TestVerifyCommand:
     def test_sparsity_clean(self, capsys, tmp_path):
@@ -333,7 +395,7 @@ class TestVerifyCommand:
         def census(*args, **kwargs):
             raise RuntimeError("the census ran")
 
-        monkeypatch.setattr(cli, "basis_weight_census", census)
+        monkeypatch.setattr(verifiers, "basis_weight_census", census)
         code = main(["verify", "lemma", "--id", "count", "--n", "4", "--field", "2", *flags])
         captured = capsys.readouterr()
         assert code == 1
@@ -424,6 +486,50 @@ class TestExperimentCommand:
         assert line["best"] is not None
         assert csv_path.exists()
 
+    def test_g_estimate_lines_and_csv_pinned(self, capsys, tmp_path):
+        csv_path = str(tmp_path / "est.csv")
+        argv = ["experiment", "g-estimate", "--n", "4", "--h", "K3", "--field", "2",
+                "--samples", "60", "--seed", "7", "--csv", csv_path]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert [scrub(json.loads(line)) for line in out.splitlines()] == [
+            {
+                "manifest": {
+                    "argv": argv,
+                    "command": " ".join(argv),
+                    "outputs": [csv_path],
+                    "parameters": {
+                        "csv": csv_path,
+                        "edge_prob": 0.5,
+                        "field": 2,
+                        "h": "K3",
+                        "n": 4,
+                        "regime_edge_prob": False,
+                        "samples": 60,
+                        "seed": 7,
+                    },
+                    "seed": 7,
+                    "version": "0.1.0",
+                }
+            },
+            {
+                "acceptance_rate": 0.26666666666666666,
+                "accepted": 16,
+                "best": 2,
+                "edge_prob": 0.5,
+                "n": 4,
+                "p": 2,
+                "samples": 60,
+                "seed": 7,
+                "witness": "CR",
+            },
+        ]
+        with open(csv_path, newline="", encoding="ascii") as fh:
+            assert fh.read() == (
+                "n,p,samples,accepted,acceptance_rate,best,witness,edge_prob,seed\r\n"
+                "4,2,60,16,0.26666666666666666,2,CR,0.5,7\r\n"
+            )
+
     def test_no_jobs_option(self, capsys):
         # the sampler runs in one process
         code = main(["experiment", "g-estimate", "--n", "4", "--h", "K3", "--field", "2",
@@ -431,6 +537,15 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "unrecognized arguments: --jobs 2" in captured.err
+
+    def test_edge_prob_and_regime_edge_prob_exclusive(self, capsys):
+        code = main(["experiment", "g-estimate", "--n", "4", "--h", "K3", "--field", "2",
+                     "--samples", "40", "--edge-prob", "0.3", "--regime-edge-prob"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --regime-edge-prob: not allowed with argument --edge-prob\n"
+        )
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("MINRANKLAB_SEED", "7")
@@ -462,6 +577,15 @@ class TestConvertCommand:
         code, _ = run_cli(["convert", "--in", str(edges), "--out", str(back)], capsys)
         assert code == 0
         assert back.read_bytes() == g6.read_bytes()
+
+    def test_repeated_arc_exit_1(self, capsys, tmp_path):
+        edges = tmp_path / "g.edges"
+        edges.write_text("3 3\n0 1\n0 1\n1 2\n")
+        code = main(["convert", "--in", str(edges), "--out", str(tmp_path / "g.g6")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: arc (0,1) is listed twice\n"
+        assert not (tmp_path / "g.g6").exists()
 
     def test_unknown_extension_exit_1(self, capsys, tmp_path):
         path = tmp_path / "g.xyz"

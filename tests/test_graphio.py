@@ -74,6 +74,8 @@ def test_digraph_text_validation():
         digraph_from_edge_text("2 1\n")  # promised arc missing
     with pytest.raises(ValueError):
         digraph_from_edge_text("2 1\n0 2\n")  # vertex out of range
+    with pytest.raises(ValueError, match=r"^arc \(0,1\) is listed twice$"):
+        digraph_from_edge_text("3 3\n0 1\n0 1\n1 2\n")
 
 
 def test_file_helpers(tmp_path):

@@ -124,6 +124,13 @@ class TestSolverAnchors:
     def test_c5(self):
         assert minrank_exact(cycle_graph(5), 2).value == 3
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_zero_vertices(self, p):
+        # the 0 x 0 matrix is the only witness, and both bounds are 0
+        assert minrank_exact(empty_graph(0), p) == minrank.MinrankResult(
+            0, FieldMatrix(p, ()), 0, 0
+        )
+
     def test_multipartite(self):
         assert minrank_exact(complete_multipartite([2, 2, 2]), 2).value == 2
         for p in (2, 3):

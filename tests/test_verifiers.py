@@ -52,7 +52,7 @@ class TestMatrixDecoder:
     def test_visits_each_matrix_once(self, n, p, nonzero_diagonal):
         total = verifiers._domain_size(n, p, nonzero_diagonal)
         tables = verifiers._row_tables(n, p, nonzero_diagonal)
-        seen = list(verifiers._matrices(tables))
+        seen = list(product(*tables))
         expected = {
             tuple(flat[i * n:(i + 1) * n] for i in range(n))
             for flat in product(range(p), repeat=n * n)
@@ -132,9 +132,10 @@ class TestSparsityLowerBound:
 
 class TestSparseBasisCount:
     def test_two_by_two_point(self):
-        report = verify_sparse_basis_count(2, 1, 1, 2)
+        [report] = verify_sparse_basis_count(2, 2, k=1, ell=1)
         assert report.ok
         assert report.instances_checked == 16
+        assert report.params == {"n": 2, "k": 1, "ell": 1, "p": 2}
 
     def test_rank_zero_counts_only_zero_matrix(self):
         census = basis_weight_census(2, 2)
@@ -155,18 +156,87 @@ class TestSparseBasisCount:
 
     def test_all_small_cases_clean(self):
         for n in (1, 2, 3):
-            census = basis_weight_census(n, 2)
-            for k in range(n + 1):
-                for ell in range(1, n * max(k, 1) + 1):
-                    report = verify_sparse_basis_count(n, k, ell, 2, census=census)
-                    assert report.ok
+            reports = verify_sparse_basis_count(n, 2)
+            assert all(report.ok for report in reports)
 
     @pytest.mark.parametrize(
-        "k, ell, message", [(3, 1, "rank k=3"), (-1, 1, "rank k=-1"), (1, 0, "sparsity ell=0")]
+        "k, ell, pairs",
+        [
+            (None, None, [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4)]),
+            (2, None, [(2, 1), (2, 2), (2, 3), (2, 4)]),
+            (None, 3, [(0, 3), (1, 3), (2, 3)]),
+            (1, 7, [(1, 7)]),
+        ],
+    )
+    def test_one_report_per_pair_from_one_census(self, monkeypatch, k, ell, pairs):
+        # k in 0..n, ell in 1..n*max(k, 1), k outermost; one census per call
+        calls = []
+        census = verifiers.basis_weight_census
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return census(*args, **kwargs)
+
+        monkeypatch.setattr(verifiers, "basis_weight_census", counted)
+        reports = verify_sparse_basis_count(2, 2, k=k, ell=ell)
+        assert [(r.params["k"], r.params["ell"]) for r in reports] == pairs
+        assert calls == [(2, 2)]
+
+    def test_violation_names_its_pair(self, monkeypatch):
+        # rank 1 with basis weights (1, 2) is admitted only by (k, ell) = (1, 2)
+        monkeypatch.setattr(
+            verifiers, "basis_weight_census", lambda n, p, enumeration_budget: {(1, 1, 2): 10**30}
+        )
+        reports = verify_sparse_basis_count(2, 2)
+        violation = {"n": 2, "k": 1, "ell": 2, "count": 10**30, "bound": 4**12}
+        assert [r.violations for r in reports] == [[], [], [], [violation], [], [], [], []]
+        assert all(r.instances_checked == 16 for r in reports)
+
+    @pytest.mark.parametrize(
+        "k, ell, message",
+        [
+            (3, 1, "rank k=3"),
+            (-1, 1, "rank k=-1"),
+            (1, 0, "sparsity ell=0"),
+            (3, None, "rank k=3"),
+            (None, -1, "sparsity ell=-1"),
+            (5, -1, "rank k=5"),
+        ],
     )
     def test_sweep_that_checks_nothing_refused(self, k, ell, message):
         with pytest.raises(ValueError, match=f"^{message} leaves no matrix to check"):
-            verify_sparse_basis_count(2, k, ell, 2)
+            verify_sparse_basis_count(2, 2, k=k, ell=ell)
+
+    @pytest.mark.parametrize(
+        "n, k, ell, message",
+        [
+            (-1, 0, 1, "rank k=0"),
+            (0, None, None, "matrix size 0"),
+            (0, 5, None, "matrix size 0"),
+            (0, 0, 1, "matrix size 0"),
+        ],
+    )
+    def test_size_below_one_refused(self, n, k, ell, message):
+        # a range with no pair at n = 0 reaches the census, then the size refusal
+        with pytest.raises(ValueError, match=f"^{message} leaves no matrix to check"):
+            verify_sparse_basis_count(n, 2, k=k, ell=ell)
+
+    def test_range_refused_before_the_census(self, monkeypatch):
+        def census(*args, **kwargs):
+            raise RuntimeError("the census ran")
+
+        monkeypatch.setattr(verifiers, "basis_weight_census", census)
+        with pytest.raises(ValueError, match="^rank k=9 leaves no matrix to check"):
+            verify_sparse_basis_count(4, 4, k=9)
+
+    @pytest.mark.parametrize(
+        "n, p, message",
+        [(-1, 2, "matrix size -1 is negative"), (2, 4, "modulus 4 is not prime"),
+         (0, 4, "modulus 4 is not prime")],
+    )
+    def test_census_refusals_come_first_past_the_range(self, n, p, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            verify_sparse_basis_count(n, p)
 
 
 class TestBasisWeightCensus:
@@ -235,9 +305,26 @@ class TestBasisWeightCensus:
 
 class TestPrincipalSubmatrix:
     def test_clean_sweeps(self):
-        for k in (1, 2, 3):
-            report = verify_principal_submatrix_decomposition(3, k, 2)
-            assert report.ok
+        reports = verify_principal_submatrix_decomposition(3, 2)
+        assert [r.params for r in reports] == [{"n_max": 3, "k": k, "p": 2} for k in (1, 2, 3)]
+        assert all(r.ok and r.instances_checked == 1 + 4 + 64 for r in reports)
+
+    def test_fixed_k_is_one_report(self):
+        [report] = verify_principal_submatrix_decomposition(3, 2, k=5)
+        assert report.ok and report.params == {"n_max": 3, "k": 5, "p": 2}
+
+    def test_matrices_listed_once_per_call(self, monkeypatch):
+        # one row table per size n, whatever the number of ranks k
+        calls = []
+        tables = verifiers._row_tables
+
+        def counted(n, p, nonzero_diagonal):
+            calls.append(n)
+            return tables(n, p, nonzero_diagonal)
+
+        monkeypatch.setattr(verifiers, "_row_tables", counted)
+        assert len(verify_principal_submatrix_decomposition(3, 2)) == 3
+        assert calls == [1, 2, 3]
 
     def test_all_ones_two_by_two(self):
         # the full 2x2 block qualifies: n'=2, k'=1, s'=4, ell=4
@@ -248,22 +335,27 @@ class TestPrincipalSubmatrix:
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
-            verify_principal_submatrix_decomposition(5, 1, 2)
+            verify_principal_submatrix_decomposition(5, 2)
 
     def test_non_prime_field_refused(self):
-        with pytest.raises(ValueError, match="modulus 4 is not prime"):
-            verify_principal_submatrix_decomposition(2, 1, 4)
+        for n_max in (2, 0):
+            with pytest.raises(ValueError, match="modulus 4 is not prime"):
+                verify_principal_submatrix_decomposition(n_max, 4)
 
-    @pytest.mark.parametrize("n_max, k, message", [(2, 0, "rank bound k=0"), (0, 1, "n_max 0")])
+    @pytest.mark.parametrize(
+        "n_max, k, message",
+        [(2, 0, "rank bound k=0"), (0, 1, "n_max 0"), (0, None, "n_max 0"),
+         (-1, None, "n_max -1"), (0, 0, "rank bound k=0")],
+    )
     def test_empty_sweep_refused(self, n_max, k, message):
-        with pytest.raises(ValueError, match=f"{message} leaves no matrix to check"):
-            verify_principal_submatrix_decomposition(n_max, k, 2)
+        with pytest.raises(ValueError, match=f"^{message} leaves no matrix to check"):
+            verify_principal_submatrix_decomposition(n_max, 2, k=k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_qualifying_block_reports_every_rank_k_matrix(self, monkeypatch, k):
         # basis weights above every threshold 2 s' k' / n' leave no block
         monkeypatch.setattr(verifiers, "min_basis_weight", lambda cols, rank, p: 10**6)
-        report = verify_principal_submatrix_decomposition(3, k, 2)
+        [report] = verify_principal_submatrix_decomposition(3, 2, k=k)
         expected = [
             {"n": n, "k": k, "matrix": rows}
             for n in (1, 2, 3)
@@ -272,6 +364,16 @@ class TestPrincipalSubmatrix:
         ]
         assert report.instances_checked == 1 + 4 + 64
         assert report.violations == _sorted(expected)
+
+
+    def test_default_range_equals_each_fixed_k(self, monkeypatch):
+        # one listing and one memo for every k give each k's own report
+        monkeypatch.setattr(verifiers, "min_basis_weight", lambda cols, rank, p: 10**6)
+        reports = verify_principal_submatrix_decomposition(3, 2)
+        assert reports == [
+            verify_principal_submatrix_decomposition(3, 2, k=k)[0] for k in (1, 2, 3)
+        ]
+        assert all(report.violations for report in reports)
 
 
 class TestForestBound:
