@@ -50,10 +50,17 @@ from .kneser import (
     KneserParams,
     kneser_graph,
     odd_girth_guarantee,
+    pattern_polynomial_coefficients,
     rank_bound_report,
     representation_matrix,
 )
-from .lll import check_lll_inequalities, find_constants, find_threshold, gamma_stats
+from .lll import (
+    DEFAULT_MAX_EXPONENT,
+    check_lll_inequalities,
+    find_constants,
+    find_threshold,
+    gamma_stats,
+)
 from .matrices import FieldMatrix, format_matrix_text
 from .minrank import minrank_exact
 from .verifiers import (
@@ -128,6 +135,14 @@ def _load_graph_arg(text: str):
     return read_graph6(text)
 
 
+def _load_pattern_arg(text: str) -> Graph:
+    """Resolve a pattern flag (--h, --h-graph), which must be undirected."""
+    h_graph = _load_graph_arg(text)
+    if isinstance(h_graph, Digraph):
+        raise ValueError("the pattern graph must be undirected")
+    return h_graph
+
+
 def _resolve_seed(value: Optional[int]) -> int:
     if value is not None:
         return value
@@ -151,7 +166,7 @@ def _run_kneser_build(args):
     # the witness's zero pattern has been checked against the adjacency, so
     # its off-diagonal nonzeros are the edges, each counted twice
     entries = witness.matrix.entries
-    vertex_count = len(witness.vertices)
+    vertex_count = params.vertex_count
     nonzeros = sum(len(row) - row.count(0) for row in entries)
     result = {
         "d": args.d,
@@ -159,16 +174,16 @@ def _run_kneser_build(args):
         "m": args.m,
         "vertex_count": vertex_count,
         "edge_count": (nonzeros - vertex_count) // 2,
-        "rank_bound": witness.rank_bound,
-        "coefficients": list(witness.coefficients),
+        "rank_bound": params.rank_bound,
+        "coefficients": pattern_polynomial_coefficients(params.s, params.m),
         "diagonal": int(entries[0][0]),
         "checks": {"structure": True},
     }
     if args.check_rank:
         result["checks"]["rank"] = {
             "value": witness.rank,
-            "bound": witness.rank_bound,
-            "ok": witness.rank <= witness.rank_bound,
+            "bound": params.rank_bound,
+            "ok": witness.rank <= params.rank_bound,
         }
     if args.check_odd_girth is not None:
         ell = args.check_odd_girth
@@ -192,10 +207,8 @@ def _run_lll(args):
     if args.max_exponent is not None and not args.find_threshold:
         raise ValueError("--max-exponent is read only with --find-threshold")
     if args.find_threshold and args.max_exponent is None:
-        args.max_exponent = 40  # set here, so the manifest records the default
-    h_graph = _load_graph_arg(args.h_graph)
-    if isinstance(h_graph, Digraph):
-        raise ValueError("the pattern graph must be undirected")
+        args.max_exponent = DEFAULT_MAX_EXPONENT  # set here, so the manifest records it
+    h_graph = _load_pattern_arg(args.h_graph)
     stats = gamma_stats(h_graph)
     inst = find_constants(stats, args.field_size)
     result = {
@@ -261,7 +274,7 @@ def _run_verify(args):
             args.n_max, args.field, args.k, enumeration_budget=budget
         )
     elif args.id == "forest":
-        h_graph = _load_graph_arg(args.h)
+        h_graph = _load_pattern_arg(args.h)
         reports = [verify_forest_bound(args.n, h_graph, args.field, graph_budget=budget)]
     else:
         raise ValueError(f"unknown lemma id {args.id!r}")
@@ -285,9 +298,7 @@ def _run_verify(args):
 
 
 def _run_estimate(args):
-    h_graph = _load_graph_arg(args.h)
-    if isinstance(h_graph, Digraph):
-        raise ValueError("the pattern graph must be undirected")
+    h_graph = _load_pattern_arg(args.h)
     seed = _resolve_seed(args.seed)
     edge_prob = args.edge_prob
     if args.regime_edge_prob:

@@ -9,9 +9,10 @@ M = L diag(c_|U|) L^T over the subsets U with |U| <= s-m, with L[A][U] =
 [U ⊆ A]. The c_u are the finite differences of P at 0, so by Newton's
 forward-difference identity P(t) = sum_u c_u C(t, u), and C(|A ∩ B|, u)
 counts the u-subsets U of both A and B. The width rank_bound bounds the rank.
-L is held as one bitset L_a per vertex, and S_u marks the columns of size u,
-so the product is checked against M over all N^2 pairs as
-sum_u c_u * popcount(L_a & L_b & S_u).
+L is held as one bitset L_a per vertex, and S_u marks the columns of size u.
+Each row of M is checked as it is built, from one count of |A ∩ B| per pair,
+against sum_u c_u * popcount(L_a & L_b & S_u). The parameters fix the vertex
+order, the c_u and rank_bound, so the witness keeps only M and its rank.
 
 The exact rank over Q is a closed form. M depends only on |A ∩ B|, so it
 lies in the Bose-Mesner algebra of the Johnson scheme J(d, s): on the j-th
@@ -61,14 +62,16 @@ def subset_masks(d: int, s: int) -> list[int]:
     return [sum(1 << i for i in combo) for combo in combinations(range(d), s)]
 
 
+def _vertex_masks(params: KneserParams, vertex_budget: int) -> list[int]:
+    """The vertices of K(d,s,m) as subset_masks(d, s), refused past the budget."""
+    d, s, m = params.d, params.s, params.m
+    check_budget(params.vertex_count, vertex_budget, f"materializing K({d},{s},{m})")
+    return subset_masks(d, s)
+
+
 def kneser_graph(params: KneserParams, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
     """The graph on all s-subsets with adjacency |A ∩ B| < m."""
-    check_budget(
-        params.vertex_count,
-        vertex_budget,
-        f"materializing K({params.d},{params.s},{params.m})",
-    )
-    masks = subset_masks(params.d, params.s)
+    masks = _vertex_masks(params, vertex_budget)
     n = len(masks)
     rows = [0] * n
     for a in range(n):
@@ -82,10 +85,7 @@ def kneser_graph(params: KneserParams, vertex_budget: int = DEFAULT_VERTEX_BUDGE
 
 def intersection_polynomial(s: int, m: int, t: int) -> int:
     """prod_{j=m}^{s-1} (t - j): nonzero diagonal value at t=s, zero on m..s-1."""
-    value = 1
-    for j in range(m, s):
-        value *= t - j
-    return value
+    return math.prod(t - j for j in range(m, s))
 
 
 def pattern_polynomial_coefficients(s: int, m: int) -> list[int]:
@@ -97,14 +97,10 @@ def pattern_polynomial_coefficients(s: int, m: int) -> list[int]:
     if m > s:
         raise ValueError("need m <= s")
     values = [intersection_polynomial(s, m, t) for t in range(s - m + 1)]
-    coeffs = []
-    for u in range(s - m + 1):
-        c = sum(
-            (-1) ** (u - t) * math.comb(u, t) * values[t]
-            for t in range(u + 1)
-        )
-        coeffs.append(c)
-    return coeffs
+    return [
+        sum((-1) ** (u - t) * math.comb(u, t) * values[t] for t in range(u + 1))
+        for u in range(s - m + 1)
+    ]
 
 
 def johnson_spectrum(params: KneserParams) -> list[tuple[int, int]]:
@@ -142,21 +138,19 @@ def spectral_rank(params: KneserParams) -> int:
 class KneserWitness:
     """Representation matrix of K(d,s,m) with its verified rank certificates.
 
-    matrix holds the integer entries P(|A ∩ B|). It equals
-    L diag(c_|U|) L^T exactly (checked over all pairs), L being the inclusion
-    matrix of the vertices against the subsets U with |U| <= s-m, so its rank
-    is at most rank_bound, the column count of L. params and coefficients
-    determine that factorization, so it is not stored. With the rank
-    checked, rank is the exact rank over the rationals, read off the
-    Johnson-scheme spectrum and matched by the rank mod CERTIFICATE_PRIME;
-    it is None otherwise.
+    matrix holds the integer entries P(|A ∩ B|) in the vertex order
+    subset_masks(d, s). Each row was checked, as it was built, to equal the
+    row of L diag(c_|U|) L^T, L being the inclusion matrix of the vertices
+    against the subsets U with |U| <= s-m, so the rank is at most
+    params.rank_bound, the column count of L. params determines the vertex
+    order, the c = pattern_polynomial_coefficients(s, m) and that bound, so
+    none is stored. With the rank checked, rank is the exact rank over the
+    rationals, read off the Johnson-scheme spectrum and matched by the rank
+    mod CERTIFICATE_PRIME; it is None otherwise.
     """
 
     params: KneserParams
-    vertices: tuple[int, ...]
     matrix: RationalMatrix
-    coefficients: tuple[int, ...]
-    rank_bound: int
     rank: Optional[int] = None
 
 
@@ -173,25 +167,17 @@ def representation_matrix(
     check_rank: bool = False,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> KneserWitness:
-    """Build and verify the representing matrix and its factorization.
+    """Build the representing matrix, checking each row as it is built.
 
-    Structural invariants (diagonal value, zero pattern matching the graph,
-    the identity M = L diag(c_|U|) L^T) are always verified. With
+    Every row is checked for its diagonal value, for a zero pattern matching
+    the graph, and against the identity M = L diag(c_|U|) L^T. With
     check_rank, the exact rank is spectral_rank(params), and the rank mod
     CERTIFICATE_PRIME of the entries must equal it.
     """
     d, s, m = params.d, params.s, params.m
-    check_budget(
-        params.vertex_count,
-        vertex_budget,
-        f"materializing K({params.d},{params.s},{params.m})",
-    )
-    masks = subset_masks(d, s)
+    masks = _vertex_masks(params, vertex_budget)
     coeffs = pattern_polynomial_coefficients(s, m)
     poly = [intersection_polynomial(s, m, t) for t in range(s + 1)]
-    entries = tuple(
-        tuple(poly[(ma & mb).bit_count()] for mb in masks) for ma in masks
-    )
 
     # columns: subsets of {0..d-1} of size <= s-m, ordered by (size, lex);
     # bit j of incidence[a] is set iff column j is a subset of vertex a, and
@@ -204,7 +190,7 @@ def representation_matrix(
         (c, sum(1 << j for j, col in enumerate(columns) if col.bit_count() == u))
         for u, c in enumerate(coeffs)
     ]
-    _verify_rows(params, masks, entries, incidence, weights)
+    entries = _build_rows(params, masks, poly, incidence, weights)
 
     rank = None
     if check_rank:
@@ -218,41 +204,34 @@ def representation_matrix(
             raise VerificationError(
                 f"rank {rank} exceeds the certificate bound {params.rank_bound}"
             )
-    return KneserWitness(
-        params=params,
-        vertices=tuple(masks),
-        matrix=RationalMatrix(entries),
-        coefficients=tuple(coeffs),
-        rank_bound=params.rank_bound,
-        rank=rank,
-    )
+    return KneserWitness(params=params, matrix=RationalMatrix(entries), rank=rank)
 
 
-def _verify_rows(params, masks, entries, incidence, weights) -> None:
-    """Check every pair (a, b) of entries, one row at a time.
+def _build_rows(params, masks, poly, incidence, weights) -> tuple[tuple[int, ...], ...]:
+    """The rows poly[|A ∩ B|] of M, each checked as it is built.
 
     Row a must hold (s-m)! on the diagonal, a zero exactly at the b != a with
-    |A ∩ B| >= m, and at every b the entry of L diag(c) L^T, which is
-    sum_u c_u * popcount(L_a & L_b & S_u) for the incidence bitsets L_a and
-    the (c_u, S_u) weights of the column sizes.
+    |A ∩ B| >= m, and at every b the entry sum_u c_u * popcount(L_a & L_b & S_u)
+    of L diag(c) L^T, for the incidence bitsets L_a and the weights (c_u, S_u).
     """
-    if len(incidence) != len(entries):
+    if len(incidence) != len(masks):
         raise VerificationError(
-            f"factorization: {len(incidence)} incidence bitsets for {len(entries)} vertices"
+            f"factorization: {len(incidence)} incidence bitsets for {len(masks)} vertices"
         )
     m = params.m
     diag = math.factorial(params.s - m)
-    for a, (ma, la, row) in enumerate(zip(masks, incidence, entries)):
+    rows = []
+    for a, (ma, la) in enumerate(zip(masks, incidence)):
+        counts = [(ma & mb).bit_count() for mb in masks]
+        row = tuple(poly[t] for t in counts)
         if row[a] != diag:
             raise VerificationError(f"bad diagonal at {a}")
-        zeros = [x == 0 for x in row]
-        non_edges = [(ma & mb).bit_count() >= m for mb in masks]
+        non_edges = [t >= m for t in counts]
         non_edges[a] = False
-        if zeros != non_edges:
-            b = next(b for b in range(len(masks)) if zeros[b] != non_edges[b])
-            inter = (ma & masks[b]).bit_count()
+        if [x == 0 for x in row] != non_edges:
+            b = next(b for b, x in enumerate(row) if (x == 0) != non_edges[b])
             raise VerificationError(
-                f"zero pattern mismatch at pair ({a},{b}), intersection {inter}"
+                f"zero pattern mismatch at pair ({a},{b}), intersection {counts[b]}"
             )
         product = [0] * len(incidence)
         for c, size_bits in weights:
@@ -263,6 +242,8 @@ def _verify_rows(params, masks, entries, incidence, weights) -> None:
         if product != list(row):
             b = next(b for b, x in enumerate(row) if product[b] != x)
             raise VerificationError(f"factorization mismatch at pair ({a},{b})")
+        rows.append(row)
+    return tuple(rows)
 
 
 def odd_girth_guarantee(d: int, m: int, ell: int) -> bool:

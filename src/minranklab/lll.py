@@ -20,6 +20,9 @@ import mpmath
 from .budgets import check_budget
 from .graphs import Graph
 
+# find_threshold scans n = 2^1 .. 2^max_exponent, by default up to 2^40
+DEFAULT_MAX_EXPONENT = 40
+
 # Certified rational bounds on e^3 from the exponential series: the tail
 # past index N is at most 3^(N+1)/(N+1)! * 1/(1 - 3/(N+2)).
 _E3_SERIES_TERMS = 40
@@ -252,13 +255,15 @@ def check_lll_inequalities(inst: LLLInstance, n: int) -> LLLCheckReport:
 
 
 def find_threshold(
-    inst: LLLInstance, max_exponent: int = 40
+    inst: LLLInstance, max_exponent: int = DEFAULT_MAX_EXPONENT
 ) -> tuple[Optional[LLLInstance], list[LLLCheckReport]]:
     """Smallest verified n (by grid scan over powers of two, then bisection).
 
     Returns the instance with n0 filled in, plus the grid reports, or
     (None, reports) if no grid point up to 2^max_exponent passes.
     """
+    if max_exponent < 1:
+        raise ValueError(f"max_exponent {max_exponent} leaves no grid point to check")
     grid: list[LLLCheckReport] = []
     first_true: Optional[int] = None
     for j in range(1, max_exponent + 1):

@@ -118,7 +118,7 @@ def test_c05_kneser_representation():
         for m in range(0, s + 1):
             params = KneserParams(d, s, m)
             witness = representation_matrix(params, check_rank=True)
-            assert witness.rank is not None and witness.rank <= witness.rank_bound
+            assert witness.rank is not None and witness.rank <= params.rank_bound
             if params.vertex_count <= 70:
                 assert represents(witness.matrix, kneser_graph(params))
     elapsed = time.perf_counter() - started

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -38,6 +39,75 @@ K631_MATRIX_TEXT = """\
 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2
 """
 
+
+# the stdout of `kneser build --d 6 --s 3 --m 1 --check-rank --check-odd-girth 3
+# --emit-matrix FILE`, timestamps replaced by "T"
+K631_BUILD_STDOUT = """\
+{
+  "manifest": {
+    "argv": [
+      "kneser",
+      "build",
+      "--d",
+      "6",
+      "--s",
+      "3",
+      "--m",
+      "1",
+      "--check-rank",
+      "--check-odd-girth",
+      "3",
+      "--emit-matrix",
+      "FILE"
+    ],
+    "command": "kneser build --d 6 --s 3 --m 1 --check-rank --check-odd-girth 3 --emit-matrix FILE",
+    "finished_at": "T",
+    "outputs": [
+      "FILE"
+    ],
+    "parameters": {
+      "check_odd_girth": 3,
+      "check_rank": true,
+      "d": 6,
+      "emit_matrix": "FILE",
+      "m": 1,
+      "s": 3,
+      "vertex_budget": 100000
+    },
+    "seed": null,
+    "started_at": "T",
+    "version": "0.1.0"
+  },
+  "result": {
+    "checks": {
+      "odd_girth": {
+        "cycle_found": null,
+        "ell": 3,
+        "hypothesis_holds": true,
+        "ok": true
+      },
+      "rank": {
+        "bound": 22,
+        "ok": true,
+        "value": 10
+      },
+      "structure": true
+    },
+    "coefficients": [
+      2,
+      -2,
+      2
+    ],
+    "d": 6,
+    "diagonal": 2,
+    "edge_count": 10,
+    "m": 1,
+    "rank_bound": 22,
+    "s": 3,
+    "vertex_count": 20
+  }
+}
+"""
 
 def scrub(obj):
     """Remove timestamp-class fields so payloads can be compared bytewise."""
@@ -227,6 +297,21 @@ class TestKneserCommand:
         }
         assert matrix_path.read_text() == K631_MATRIX_TEXT
 
+    def test_build_stdout_and_matrix_file_pinned(self, capsys, monkeypatch, tmp_path):
+        # the whole document, byte for byte, timestamps aside
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(
+            [
+                "kneser", "build", "--d", "6", "--s", "3", "--m", "1",
+                "--check-rank", "--check-odd-girth", "3", "--emit-matrix", "FILE",
+            ],
+            capsys,
+        )
+        assert code == 0
+        stamped = re.sub(r'"(started_at|finished_at)": "[^"]*"', r'"\1": "T"', out)
+        assert stamped == K631_BUILD_STDOUT
+        assert (tmp_path / "FILE").read_bytes() == K631_MATRIX_TEXT.encode("ascii")
+
     @pytest.mark.parametrize("d,s,m", [(5, 2, 1), (6, 3, 1), (6, 3, 2), (7, 3, 2), (8, 4, 2)])
     @pytest.mark.parametrize("odd_girth", [False, True])
     def test_edge_count_closed_form(self, capsys, d, s, m, odd_girth):
@@ -323,6 +408,16 @@ class TestLLLCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "error: --max-exponent is read only with --find-threshold\n"
+
+    @pytest.mark.parametrize("max_exponent", [0, -1])
+    def test_threshold_with_an_empty_grid_exit_1(self, capsys, max_exponent):
+        code = main(["lll", "analyze", "--h-graph", "K3", "--field-size", "2",
+                     "--find-threshold", "--max-exponent", str(max_exponent)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: max_exponent {max_exponent} leaves no grid point to check\n"
+        )
 
     @pytest.mark.parametrize(
         "mode, max_exponent",
@@ -468,6 +563,24 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("budget refusal:")
         assert "estimated work about 10^5990, budget 131072" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lll", "analyze", "--field-size", "2", "--n", "100", "--h-graph"],
+        ["experiment", "g-estimate", "--n", "4", "--field", "2", "--samples", "2", "--h"],
+        ["verify", "lemma", "--id", "forest", "--n", "5", "--field", "2", "--h"],
+    ],
+)
+def test_digraph_pattern_exit_1(capsys, tmp_path, argv):
+    # every pattern flag reads an undirected graph; P3 as a .edges file is a digraph
+    path = tmp_path / "p3.edges"
+    path.write_text("4 4\n0 1\n1 0\n1 2\n2 1\n")
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: the pattern graph must be undirected\n"
 
 
 class TestExperimentCommand:

@@ -119,14 +119,14 @@ class TestCoefficients:
 class TestRepresentation:
     def test_4_2_1_entries(self):
         w = representation_matrix(KneserParams(4, 2, 1), check_rank=True)
-        masks = w.vertices
+        masks = subset_masks(4, 2)
         for a, ma in enumerate(masks):
             for b, mb in enumerate(masks):
                 inter = (ma & mb).bit_count()
                 expected = {2: 1, 1: 0, 0: -1}[inter]
                 assert w.matrix.entries[a][b] == expected
         assert w.rank == 3
-        assert w.rank_bound == 5
+        assert w.params.rank_bound == 5
 
     def test_diagonal_is_factorial(self):
         for d, s, m in [(5, 3, 1), (6, 3, 0), (7, 3, 2)]:
@@ -143,7 +143,7 @@ class TestRepresentation:
         # evaluate prod_j (<c_A, c_B> - j) straight from the bitstrings
         for d, s, m in [(6, 3, 1), (6, 3, 2), (8, 4, 2)]:
             w = representation_matrix(KneserParams(d, s, m))
-            masks = w.vertices
+            masks = subset_masks(d, s)
             rng = random.Random(d * 100 + m)
             for _ in range(200):
                 a = rng.randrange(len(masks))
@@ -162,10 +162,11 @@ class TestRepresentation:
         w = representation_matrix(KneserParams(5, 2, 1))
         d, s, m = w.params.d, w.params.s, w.params.m
         subsets = [set(u) for size in range(s - m + 1) for u in combinations(range(d), size)]
-        vertices = [{i for i in range(d) if ma >> i & 1} for ma in w.vertices]
+        vertices = [{i for i in range(d) if ma >> i & 1} for ma in subset_masks(d, s)]
         left = [[int(u <= a) for u in subsets] for a in vertices]
-        diag = [w.coefficients[len(u)] for u in subsets]
-        assert len(subsets) == w.rank_bound
+        coeffs = pattern_polynomial_coefficients(s, m)
+        diag = [coeffs[len(u)] for u in subsets]
+        assert len(subsets) == w.params.rank_bound
         product = tuple(
             tuple(sum(x * c * y for x, c, y in zip(ra, diag, rb)) for rb in left)
             for ra in left
@@ -177,7 +178,7 @@ class TestRepresentation:
             s = d // 2
             for m in range(s + 1):
                 w = representation_matrix(KneserParams(d, s, m), check_rank=True)
-                assert w.rank <= w.rank_bound
+                assert w.rank <= w.params.rank_bound
 
     def test_structural_invariants_hold_across_all_small_params(self):
         # includes the full structural verification (diagonal, zero pattern,
@@ -197,7 +198,7 @@ class TestRankCertificate:
                     entries = [list(row) for row in w.matrix.entries]
                     rank = spectral_rank(w.params)
                     assert rank == oracle_fraction_rank(entries), (d, s, m)
-                    assert w.rank == rank <= w.rank_bound
+                    assert w.rank == rank <= w.params.rank_bound
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -272,20 +273,29 @@ class TestWitnessChecks:
         with pytest.raises(VerificationError, match="zero pattern mismatch"):
             representation_matrix(KneserParams(6, 3, 1))
 
+    def test_wrong_diagonal_fails(self, monkeypatch):
+        # P(3) = 2 for K(6,3,1); a 3 there keeps the zero pattern
+        def corrupt(s, m, t):
+            return 3 if t == s else intersection_polynomial(s, m, t)
+
+        monkeypatch.setattr(kneser, "intersection_polynomial", corrupt)
+        with pytest.raises(VerificationError, match="^bad diagonal at 0$"):
+            representation_matrix(KneserParams(6, 3, 1))
+
     def test_row_check_rejects_a_wrong_incidence_or_weight(self):
         # K(2,1,0): vertices {0}, {1}; columns (), {0}, {1}; P(t) = t = C(t, 1)
         params = KneserParams(2, 1, 0)
         masks = [0b01, 0b10]
-        entries = ((1, 0), (0, 1))
+        poly = [0, 1]
         incidence = [0b011, 0b101]
         weights = [(0, 0b001), (1, 0b110)]
-        kneser._verify_rows(params, masks, entries, incidence, weights)
+        assert kneser._build_rows(params, masks, poly, incidence, weights) == ((1, 0), (0, 1))
         with pytest.raises(VerificationError, match=r"^factorization mismatch at pair \(0,0\)"):
-            kneser._verify_rows(params, masks, entries, [0b001, 0b101], weights)
+            kneser._build_rows(params, masks, poly, [0b001, 0b101], weights)
         with pytest.raises(VerificationError, match=r"^factorization mismatch at pair \(0,0\)"):
-            kneser._verify_rows(params, masks, entries, incidence, [(1, 0b001), (1, 0b110)])
+            kneser._build_rows(params, masks, poly, incidence, [(1, 0b001), (1, 0b110)])
         with pytest.raises(VerificationError, match="incidence bitsets for 2 vertices"):
-            kneser._verify_rows(params, masks, entries, incidence[:1], weights)
+            kneser._build_rows(params, masks, poly, incidence[:1], weights)
 
     def test_rank_outside_the_certificate_fails(self, monkeypatch):
         # K(6,3,1) has rank 10; a computed rank on either side of it is a lie

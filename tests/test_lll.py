@@ -117,6 +117,14 @@ class TestChecker:
         assert not check_lll_inequalities(inst, solved.n0 - 1).holds
         assert grid[-1].holds and not grid[-2].holds
 
+    @pytest.mark.parametrize("max_exponent", [0, -1])
+    def test_threshold_refuses_an_empty_grid(self, max_exponent):
+        inst = find_constants(gamma_stats(complete_graph(3)), 2)
+        with pytest.raises(
+            ValueError, match=f"^max_exponent {max_exponent} leaves no grid point to check$"
+        ):
+            find_threshold(inst, max_exponent)
+
     def test_holds_monotone_on_grid(self):
         inst = find_constants(gamma_stats(cycle_graph(5)), 3)
         flags = [check_lll_inequalities(inst, 2**j).holds for j in range(1, 41)]
