@@ -34,7 +34,9 @@ from .budgets import (
 from .graphs import (
     Digraph,
     Graph,
+    GraphParameterError,
     bidirected,
+    check_odd_length,
     min_odd_cycle_at_most,
     named_graph,
     underlying_graph,
@@ -48,7 +50,6 @@ from .graphio import (
 )
 from .kneser import (
     KneserParams,
-    kneser_graph,
     odd_girth_guarantee,
     pattern_polynomial_coefficients,
     rank_bound_report,
@@ -123,16 +124,18 @@ def _jsonable(obj):
 
 
 def _load_graph_arg(text: str):
-    """Resolve a --graph/--h value: a built-in name, else a file path."""
+    """Resolve a --graph/--h value: a built-in name, else a file path. With
+    no file there, a built-in family given a bad parameter (C2) keeps its
+    own error."""
     try:
         return named_graph(text)
-    except ValueError:
-        pass
-    if not os.path.exists(text):
-        raise ValueError(f"{text!r} is neither a built-in graph name nor a file")
-    if text.endswith(".edges"):
-        return read_digraph(text)
-    return read_graph6(text)
+    except ValueError as exc:
+        name_error = exc
+    if os.path.exists(text):
+        return read_digraph(text) if text.endswith(".edges") else read_graph6(text)
+    if isinstance(name_error, GraphParameterError):
+        raise name_error
+    raise ValueError(f"{text!r} is neither a built-in graph name nor a file")
 
 
 def _load_pattern_arg(text: str) -> Graph:
@@ -160,23 +163,21 @@ def _run_minrank(args):
 
 def _run_kneser_build(args):
     params = KneserParams(args.d, args.s, args.m)
+    if args.check_odd_girth is not None:
+        check_odd_length(args.check_odd_girth)
     witness = representation_matrix(
         params, check_rank=args.check_rank, vertex_budget=args.vertex_budget
     )
-    # the witness's zero pattern has been checked against the adjacency, so
-    # its off-diagonal nonzeros are the edges, each counted twice
-    entries = witness.matrix.entries
-    vertex_count = params.vertex_count
-    nonzeros = sum(len(row) - row.count(0) for row in entries)
+    graph = witness.graph()
     result = {
         "d": args.d,
         "s": args.s,
         "m": args.m,
-        "vertex_count": vertex_count,
-        "edge_count": (nonzeros - vertex_count) // 2,
+        "vertex_count": params.vertex_count,
+        "edge_count": graph.edge_count(),
         "rank_bound": params.rank_bound,
         "coefficients": pattern_polynomial_coefficients(params.s, params.m),
-        "diagonal": int(entries[0][0]),
+        "diagonal": int(witness.matrix.entries[0][0]),
         "checks": {"structure": True},
     }
     if args.check_rank:
@@ -187,7 +188,6 @@ def _run_kneser_build(args):
         }
     if args.check_odd_girth is not None:
         ell = args.check_odd_girth
-        graph = kneser_graph(params, vertex_budget=args.vertex_budget)
         found = min_odd_cycle_at_most(graph, ell)
         entry = {"ell": ell, "cycle_found": found, "ok": found is None}
         if args.d % 2 == 0 and args.s * 2 == args.d:
@@ -224,13 +224,13 @@ def _run_lll(args):
         "constraint_items": list(inst.constraint_items()),
     }
     if args.find_threshold:
-        solved, grid = find_threshold(inst, args.max_exponent)
-        result["n0"] = None if solved is None else solved.n0
+        at_n0, grid = find_threshold(inst, args.max_exponent)
+        result["n0"] = None if at_n0 is None else at_n0.n
         result["grid"] = [
             {"n": r.n, "holds": r.holds, "failures": r.failures} for r in grid
         ]
-        if solved is not None:
-            result["report_at_n0"] = _jsonable(check_lll_inequalities(inst, solved.n0))
+        if at_n0 is not None:
+            result["report_at_n0"] = _jsonable(at_n0)
     else:
         result["report"] = _jsonable(check_lll_inequalities(inst, args.n))
     return result, False

@@ -183,8 +183,13 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+class GraphParameterError(ValueError):
+    """A built-in graph family name with a parameter below its minimum."""
+
+
 def named_graph(name: str) -> Graph:
-    """Resolve built-in graph names: K5, C7, P4, star3, empty4."""
+    """Resolve built-in graph names: K5, C7, P4, star3, empty4. A family
+    name with too small a parameter raises GraphParameterError."""
     text = name.strip().lower()
     for prefix, builder, minimum in (
         ("star", star_graph, 1),
@@ -196,7 +201,7 @@ def named_graph(name: str) -> Graph:
         if text.startswith(prefix) and text[len(prefix):].isdigit():
             value = int(text[len(prefix):])
             if value < minimum:
-                raise ValueError(f"{name}: parameter must be at least {minimum}")
+                raise GraphParameterError(f"{name}: parameter must be at least {minimum}")
             return builder(value)
     raise ValueError(f"unknown graph name: {name}")
 
@@ -253,6 +258,12 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
     return extend(0, 0)
 
 
+def check_odd_length(ell: int) -> None:
+    """Refuse an odd-cycle length bound that is not an odd integer >= 3."""
+    if ell < 3 or ell % 2 == 0:
+        raise ValueError("ell must be an odd integer >= 3")
+
+
 def min_odd_cycle_at_most(g: Graph, ell: int) -> Optional[int]:
     """Smallest odd cycle length <= ell in g, or None if there is none.
 
@@ -260,8 +271,7 @@ def min_odd_cycle_at_most(g: Graph, ell: int) -> Optional[int]:
     walk through v is the distance from (v, even) to (v, odd), and the
     shortest odd closed walk overall is the shortest odd cycle.
     """
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError("ell must be an odd integer >= 3")
+    check_odd_length(ell)
     best: Optional[int] = None
     cap = ell
     for v in range(g.n):

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Optional
 
 from .budgets import DEFAULT_VERTEX_BUDGET, check_budget
-from .graphs import Graph
+from .graphs import Graph, check_odd_length
 from .matrices import RationalMatrix, mod_rank
 
 
@@ -69,9 +69,9 @@ def _vertex_masks(params: KneserParams, vertex_budget: int) -> list[int]:
     return subset_masks(d, s)
 
 
-def kneser_graph(params: KneserParams, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
-    """The graph on all s-subsets with adjacency |A ∩ B| < m."""
-    masks = _vertex_masks(params, vertex_budget)
+def kneser_graph(params: KneserParams) -> Graph:
+    """The graph on all s-subsets with adjacency |A ∩ B| < m, pair by pair."""
+    masks = _vertex_masks(params, DEFAULT_VERTEX_BUDGET)
     n = len(masks)
     rows = [0] * n
     for a in range(n):
@@ -146,12 +146,20 @@ class KneserWitness:
     order, the c = pattern_polynomial_coefficients(s, m) and that bound, so
     none is stored. With the rank checked, rank is the exact rank over the
     rationals, read off the Johnson-scheme spectrum and matched by the rank
-    mod CERTIFICATE_PRIME; it is None otherwise.
+    mod CERTIFICATE_PRIME; it is None otherwise. The zero pattern of each
+    row off the diagonal was checked to be the b with |A ∩ B| >= m, so graph()
+    reads K(d,s,m) from that checked pattern.
     """
 
     params: KneserParams
     matrix: RationalMatrix
     rank: Optional[int] = None
+
+    def graph(self) -> Graph:
+        """K(d,s,m): vertex a is adjacent to each b != a with a nonzero entry."""
+        n = self.matrix.rows
+        return Graph(n, tuple(sum(1 << b for b in compress(range(n), row)) ^ (1 << a)
+                              for a, row in enumerate(self.matrix.entries)))
 
 
 class VerificationError(RuntimeError):
@@ -252,8 +260,7 @@ def odd_girth_guarantee(d: int, m: int, ell: int) -> bool:
     Applies to K(d, d/2, m) for even d. `kneser build --check-odd-girth`
     searches the graph itself.
     """
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError("ell must be an odd integer >= 3")
+    check_odd_length(ell)
     if d % 2:
         raise ValueError("d must be even")
     if m < 0:
@@ -295,8 +302,7 @@ def rank_bound_report(ell: int, n: int) -> ConstructionReport:
     m = d/(2*ell), and delta_star = 1 - log(rank_bound)/log(C(d, d/2)).
     Everything is exact big-integer arithmetic; no matrix is materialized.
     """
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError("ell must be an odd integer >= 3")
+    check_odd_length(ell)
     if n < 1:
         raise ValueError("n must be positive")
     d = 2 * ell

@@ -11,7 +11,7 @@ underflow doubles at realistic n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -93,7 +93,6 @@ class LLLInstance:
     c2: Fraction
     c3: Fraction
     c4: Fraction
-    n0: Optional[int] = None
 
     def constraint_items(self) -> tuple[bool, bool, bool]:
         item1 = self.c2 > 2 * (2 * self.c3 + self.c4)
@@ -256,11 +255,17 @@ def check_lll_inequalities(inst: LLLInstance, n: int) -> LLLCheckReport:
 
 def find_threshold(
     inst: LLLInstance, max_exponent: int = DEFAULT_MAX_EXPONENT
-) -> tuple[Optional[LLLInstance], list[LLLCheckReport]]:
-    """Smallest verified n (by grid scan over powers of two, then bisection).
+) -> tuple[Optional[LLLCheckReport], list[LLLCheckReport]]:
+    """A threshold n0 where the chain holds and n0 - 1 fails.
 
-    Returns the instance with n0 filled in, plus the grid reports, or
-    (None, reports) if no grid point up to 2^max_exponent passes.
+    The grid scans n = 2, 4, .., 2^max_exponent up to the first n that
+    holds; every power of two below it fails. Bisection between that n and
+    the power below finds n0, and n0 holds and n0 - 1 fails (n0 - 1 = 1 is
+    below the checker's domain). The chain need not be monotone in n, so a
+    smaller passing n off the bisection path is not ruled out.
+
+    Returns the report at n0 and the grid reports, or (None, reports) if no
+    grid point passes.
     """
     if max_exponent < 1:
         raise ValueError(f"max_exponent {max_exponent} leaves no grid point to check")
@@ -283,8 +288,9 @@ def find_threshold(
         else:
             lo = mid
     n0 = hi
-    if not check_lll_inequalities(inst, n0).holds:
+    at_n0 = check_lll_inequalities(inst, n0)
+    if not at_n0.holds:
         raise RuntimeError(f"internal error: the bisected threshold n0={n0} fails")
     if n0 > 2 and check_lll_inequalities(inst, n0 - 1).holds:
         raise RuntimeError(f"internal error: the bisected threshold n0={n0} is not minimal")
-    return replace(inst, n0=n0), grid
+    return at_n0, grid

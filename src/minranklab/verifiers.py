@@ -223,7 +223,7 @@ def verify_sparse_basis_count(
     census = basis_weight_census(n, p, enumeration_budget=enumeration_budget)
     if n == 0:  # a negative size was refused by the census
         raise ValueError(f"matrix size {n} leaves no matrix to check")
-    checked = _domain_size(n, p, False)
+    checked = sum(census.values())
     reports = []
     for rank, weight in _count_pairs(n, k, ell):
         count = sum(

@@ -164,13 +164,13 @@ def test_c09_lll_arithmetic():
         for field_size in (2, 3):
             inst = find_constants(stats, field_size)
             assert inst.constraint_items() == (True, True, True)
-            solved, _ = find_threshold(inst)
-            assert solved is not None and solved.n0 is not None
-            at_n0 = check_lll_inequalities(inst, solved.n0)
+            report, _ = find_threshold(inst)
+            assert report is not None
+            at_n0 = check_lll_inequalities(inst, report.n)
             assert at_n0.holds
             assert at_n0.weight_sum <= 1.0
-            assert 0 < at_n0.k < solved.n0
-            start_exp = max(2, solved.n0.bit_length())
+            assert 0 < at_n0.k < report.n
+            start_exp = max(2, report.n.bit_length())
             for j in range(start_exp, 41):
                 assert check_lll_inequalities(inst, 2**j).holds, (stats, field_size, j)
     print("\nACCEPTANCE 9 constants satisfy the constraint items; finite thresholds found: PASS")

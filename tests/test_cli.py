@@ -213,6 +213,32 @@ class TestMinrankCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["minrank", "exact", "--field", "2", "--graph", "C2"],
+             "C2: parameter must be at least 3"),
+            (["experiment", "g-estimate", "--n", "4", "--h", "P1", "--field", "2",
+              "--samples", "5"], "P1: parameter must be at least 2"),
+            (["lll", "analyze", "--h-graph", "K0", "--field-size", "2", "--find-threshold"],
+             "K0: parameter must be at least 1"),
+            (["minrank", "exact", "--field", "2", "--graph", "Q17"],
+             "'Q17' is neither a built-in graph name nor a file"),
+        ],
+    )
+    def test_graph_name_error_exit_1(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_file_named_like_a_bad_built_in_loads(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_graph6(cycle_graph(5), "C2")
+        code, out = run_cli(["minrank", "exact", "--field", "2", "--graph", "C2"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == 3
+
     @pytest.mark.parametrize("content", ["", "\n \n\n"])
     def test_empty_graph_file_exit_1(self, capsys, tmp_path, content):
         path = tmp_path / "empty.g6"
@@ -329,16 +355,33 @@ class TestKneserCommand:
         assert result["edge_count"] == expected
         assert ("odd_girth" in result["checks"]) == odd_girth
 
-    def test_build_without_odd_girth_builds_no_graph(self, capsys, monkeypatch):
+    def test_build_never_calls_kneser_graph(self, capsys, monkeypatch):
+        # the graph is read off the checked witness, not counted a second time
         def refuse(*args, **kwargs):
             raise AssertionError("kneser_graph called")
 
-        monkeypatch.setattr(cli, "kneser_graph", refuse)
-        code, out = run_cli(
-            ["kneser", "build", "--d", "6", "--s", "3", "--m", "2", "--check-rank"], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["result"]["edge_count"] == 100
+        monkeypatch.setattr(kneser, "kneser_graph", refuse)
+        for odd_girth in ([], ["--check-odd-girth", "3"]):
+            code, out = run_cli(
+                ["kneser", "build", "--d", "6", "--s", "3", "--m", "2", "--check-rank"]
+                + odd_girth,
+                capsys,
+            )
+            assert code == 0
+            assert json.loads(out)["result"]["edge_count"] == 100
+
+    @pytest.mark.parametrize("d, s, m", [(12, 6, 2), (30, 15, 1)])
+    def test_bad_odd_girth_refused_before_the_build(self, capsys, monkeypatch, d, s, m):
+        # an invalid L wins over the vertex-budget refusal of K(30,15,1)
+        def refuse(*args, **kwargs):
+            raise AssertionError("representation_matrix called")
+
+        monkeypatch.setattr(cli, "representation_matrix", refuse)
+        code = main(["kneser", "build", "--d", str(d), "--s", str(s), "--m", str(m),
+                     "--check-odd-girth", "4"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: ell must be an odd integer >= 3\n"
 
     def test_witness_failure_exit_4(self, capsys, monkeypatch):
         def corrupt(s, m):

@@ -2,6 +2,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minranklab.graphs import (
     Digraph,
@@ -127,6 +129,10 @@ class TestOddCycles:
 
     def test_c5_triangle_free(self):
         assert min_odd_cycle_at_most(cycle_graph(5), 3) is None
+
+    def test_c7_needs_the_full_depth(self):
+        assert min_odd_cycle_at_most(cycle_graph(7), 7) == 7
+        assert min_odd_cycle_at_most(cycle_graph(7), 5) is None
 
     def test_rejects_even_or_small_ell(self):
         with pytest.raises(ValueError):
@@ -306,6 +312,37 @@ def degree_preserving_swap(g, rng):
         return g
     edges = set(g.edges()) - {(a, b), (min(c, d), max(c, d))}
     return Graph.from_edges(g.n, edges | {(a, d), (c, b)})
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 8 vertices: a uniform random edge set, or a cycle of
+    random length through random vertices plus at most two chords, so that
+    the shortest odd cycle takes every length up to 7."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        return Graph.from_edge_mask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    length = draw(st.sampled_from([k for k in range(n + 1) if k not in (1, 2)]))
+    order = draw(st.permutations(range(n)))[:length]
+    edges = list(zip(order, order[1:] + order[:1])) if length else []
+    vertex = st.integers(0, max(n - 1, 0))
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    return Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
+
+
+class TestAgainstNetworkx:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_alpha_is_the_largest_clique_of_the_complement(self, g):
+        cliques = nx.find_cliques(nx.complement(to_networkx(g)))
+        assert independence_number(g) == max(map(len, cliques), default=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.sampled_from([3, 5, 7]))
+    def test_min_odd_cycle_is_the_shortest_simple_odd_cycle(self, g, ell):
+        cycles = nx.simple_cycles(to_networkx(g), length_bound=ell)
+        odd = [len(c) for c in cycles if len(c) % 2]
+        assert min_odd_cycle_at_most(g, ell) == min(odd, default=None)
 
 
 class TestCanonicalKey:

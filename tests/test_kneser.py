@@ -76,6 +76,13 @@ class TestGraph:
         with pytest.raises(BudgetExceededError):
             kneser_graph(KneserParams(30, 15, 1))
 
+    def test_witness_graph_is_the_reference_graph(self):
+        for d in range(0, 9):
+            for s in range(0, d + 1):
+                for m in range(0, s + 1):
+                    params = KneserParams(d, s, m)
+                    assert representation_matrix(params).graph() == kneser_graph(params)
+
 
 class TestCoefficients:
     def test_s2_m1(self):

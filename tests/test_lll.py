@@ -111,11 +111,17 @@ class TestChecker:
 
     def test_threshold_exists_and_is_sharp(self):
         inst = find_constants(gamma_stats(complete_graph(3)), 2)
-        solved, grid = find_threshold(inst)
-        assert solved is not None and solved.n0 is not None
-        assert check_lll_inequalities(inst, solved.n0).holds
-        assert not check_lll_inequalities(inst, solved.n0 - 1).holds
+        at_n0, grid = find_threshold(inst)
+        assert at_n0 is not None
+        assert check_lll_inequalities(inst, at_n0.n).holds
+        assert not check_lll_inequalities(inst, at_n0.n - 1).holds
         assert grid[-1].holds and not grid[-2].holds
+
+    @pytest.mark.parametrize("pattern, field_size", [("K3", 2), ("C5", 3)])
+    def test_threshold_returns_the_report_at_n0(self, pattern, field_size):
+        inst = find_constants(gamma_stats(named_graph(pattern)), field_size)
+        at_n0, _ = find_threshold(inst)
+        assert at_n0 == check_lll_inequalities(inst, at_n0.n)
 
     @pytest.mark.parametrize("max_exponent", [0, -1])
     def test_threshold_refuses_an_empty_grid(self, max_exponent):
@@ -133,25 +139,25 @@ class TestChecker:
 
     def test_weight_sum_closed_form_matches_direct_summation(self):
         inst = find_constants(gamma_stats(complete_graph(3)), 2)
-        solved, _ = find_threshold(inst)
-        report = check_lll_inequalities(inst, solved.n0)
-        lo, hi = report.sprime_min, solved.n0**2
+        at_n0, _ = find_threshold(inst)
+        report = check_lll_inequalities(inst, at_n0.n)
+        lo, hi = report.sprime_min, at_n0.n**2
         assert hi - lo < 200_000  # near the threshold the range is summable
         with mpmath.workprec(150):
             gamma = mpmath.mpf(inst.stats.gamma.numerator) / inst.stats.gamma.denominator
             beta = (
                 (mpmath.mpf(inst.c4.numerator) / inst.c4.denominator)
                 - 24 * mpmath.mpf(inst.c1.numerator) / inst.c1.denominator
-            ) * mpmath.power(solved.n0, -gamma)
+            ) * mpmath.power(at_n0.n, -gamma)
             direct = mpmath.nsum(lambda s: mpmath.exp(-beta * s), [lo, hi])
             assert abs(direct - report.weight_sum) < mpmath.mpf("1e-12")
 
     def test_k_positive_and_below_n_at_threshold(self):
         for name, q in [("K3", 2), ("K4", 3)]:
             inst = find_constants(gamma_stats(named_graph(name)), q)
-            solved, _ = find_threshold(inst)
-            report = check_lll_inequalities(inst, solved.n0)
-            assert 0 < report.k < solved.n0
+            at_n0, _ = find_threshold(inst)
+            report = check_lll_inequalities(inst, at_n0.n)
+            assert 0 < report.k < at_n0.n
 
     def test_geometric_sum_helper_sanity(self):
         # the closed form used in the checker: independent Fraction check
