@@ -23,6 +23,9 @@ from .graphs import Graph
 # find_threshold scans n = 2^1 .. 2^max_exponent, by default up to 2^40
 DEFAULT_MAX_EXPONENT = 40
 
+# gamma_stats sweeps the 2^f edge subsets of the pattern, at most 2^22 of them
+SUBSET_BUDGET = 1 << 22
+
 # Certified rational bounds on e^3 from the exponential series: the tail
 # past index N is at most 3^(N+1)/(N+1)! * 1/(1 - 3/(N+2)).
 _E3_SERIES_TERMS = 40
@@ -50,7 +53,7 @@ class HStats:
     gamma0: Fraction
 
 
-def gamma_stats(h_graph: Graph, subset_budget: int = 1 << 22) -> HStats:
+def gamma_stats(h_graph: Graph) -> HStats:
     """gamma = (h-2)/(f-1) of the full graph; gamma0 minimized over subgraphs.
 
     The minimum ranges over all edge subsets with at least 3 edges, each taken
@@ -64,7 +67,7 @@ def gamma_stats(h_graph: Graph, subset_budget: int = 1 << 22) -> HStats:
     if h < 3:
         raise ValueError("gamma statistics need at least 3 vertices")
     gamma = Fraction(h - 2, f - 1)
-    check_budget(1 << f, subset_budget, f"edge-subset sweep over {f} edges")
+    check_budget(1 << f, SUBSET_BUDGET, f"edge-subset sweep over {f} edges")
     endpoint_masks = [(1 << u) | (1 << v) for u, v in edges]
     support = [0] * (1 << f)
     gamma0 = gamma
@@ -112,16 +115,27 @@ class LLLInstance:
         return all(self.constraint_items())
 
 
+def _is_prime_power(q: int) -> bool:
+    """q >= 2 is a power of its smallest prime factor d."""
+    d = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % d == 0:
+        q //= d
+    return q == 1
+
+
 def find_constants(stats: HStats, field_size: int) -> LLLInstance:
     """Deterministic constants satisfying the three constraint items.
 
     c2 walks down {2^-j}; c3 is pinned to the item-2 threshold (rounded up
     rationally through the certified e^3 upper bound); once c2 > 4*c3 there
     is slack for c4 = c2/4 - c3 and c1 = c4/32. Terminates because c3
-    shrinks like c2^f with f >= 3.
+    shrinks like c2^f with f >= 3. A field size that is not a prime power
+    is refused: no finite field has that many elements.
     """
     if field_size < 2:
         raise ValueError("field size must be at least 2")
+    if not _is_prime_power(field_size):
+        raise ValueError(f"field size {field_size} is not a prime power")
     base = math.factorial(stats.h) * E3_UPPER
     j = 0
     while True:

@@ -1,18 +1,16 @@
 """Exhaustive desk-scale verification sweeps and the sampling experiment.
 
-Each sweep enumerates raw matrices or graphs (no symmetry reduction inside
-the counted enumerations, so counts stay exact), records every violation it
-finds, and reports reproducible parameters.
+Each sweep enumerates matrices or graphs with no reduction that changes a
+count, records every violation it finds, and reports reproducible parameters.
 
-The three matrix sweeps share one path. A table per row position lists the
-rows allowed there (all of GF(p)^n, or for the nonzero-diagonal domain the
-vectors nonzero at that position), and the matrices are listed as all row
-choices. Every matrix is visited and checked on its own. The sparsity sweep
-needs only the rank of the rows and computes it directly. The census reads
-the profiles of the rows and the columns, the submatrix sweep those of each
-principal block; within one call only the (rank, min basis weight) of each
-multiset of vectors is memoized, which does not depend on the order of the
-vectors. Violation lists are order-normalized.
+The two nonzero-diagonal sweeps list every matrix from one table per row
+position, the vectors nonzero there. The sparsity sweep reads only the rank
+of the rows; the submatrix sweep reads the profile of each principal block.
+The census lists each multiset of rows once, weighted by its n!/prod(mult!)
+row orders: permuting the rows permutes every column's coordinates alike, so
+the profile (rank, min column and row basis weights) does not change. Within
+one call the (rank, min basis weight) of each multiset of vectors is
+memoized. Violation lists are order-normalized.
 
 The sparse-basis count and the principal-submatrix sweep check a range of
 (k, ell) pairs or ranks k in one call, one report per pair: each expands its
@@ -26,7 +24,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, combinations_with_replacement, groupby, islice, product
+from math import comb, factorial, prod
 from typing import Optional
 
 from .budgets import (
@@ -65,22 +64,13 @@ def _normalize(violations: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the matrix-sweep path: row tables, index decoder, profile memo
+# the matrix-sweep path: row tables, profile memo
 
-def _domain_size(n: int, p: int, nonzero_diagonal: bool) -> int:
-    if nonzero_diagonal:
-        return (p - 1) ** n * p ** (n * n - n)
-    return p ** (n * n)
-
-
-def _row_tables(n: int, p: int, nonzero_diagonal: bool) -> list[list[tuple[int, ...]]]:
-    """Per row position, the rows allowed there, ordered by the code
-    sum(v_j * p**j); the nonzero-diagonal domain keeps at position i only
-    the vectors with v_i != 0."""
+def _row_tables(n: int, p: int) -> list[list[tuple[int, ...]]]:
+    """Per row position i, the vectors of GF(p)^n with v_i != 0, ordered by
+    the code sum(v_j * p**j): the rows allowed in a nonzero-diagonal matrix."""
     vectors = [tuple((code // p**j) % p for j in range(n)) for code in range(p**n)]
-    if nonzero_diagonal:
-        return [[v for v in vectors if v[i]] for i in range(n)]
-    return [vectors] * n
+    return [[v for v in vectors if v[i]] for i in range(n)]
 
 
 def _profile(multiset: tuple, p: int, memo: dict, k: Optional[int] = None) -> tuple:
@@ -90,7 +80,11 @@ def _profile(multiset: tuple, p: int, memo: dict, k: Optional[int] = None) -> tu
     if found is None:
         found = memo[multiset] = (mod_rank(multiset, p), None)
     if k is not None and found[1] is None:
-        found = memo[multiset] = (k, min_basis_weight(multiset, k, p))
+        try:
+            weight = min_basis_weight(multiset, k, p)
+        except ValueError as exc:  # k is the rank mod_rank gave for these vectors
+            raise RuntimeError(f"internal error: basis search at rank {k}: {exc}") from exc
+        found = memo[multiset] = (k, weight)
     return found
 
 
@@ -125,7 +119,7 @@ def _nonzero_diagonal_total(n_max: int, p: int, enumeration_budget: int) -> int:
         raise ValueError(f"n_max {n_max} leaves no matrix to check")
     total = 0
     for n in range(1, n_max + 1):
-        size = _domain_size(n, p, True)
+        size = (p - 1) ** n * p ** (n * n - n)
         check_budget(size, enumeration_budget, f"matrix sweep at n={n}, p={p}")
         total += size
     return total
@@ -143,7 +137,7 @@ def verify_sparsity_lower_bound(
     checked = _nonzero_diagonal_total(n_max, p, enumeration_budget)
     violations = []
     for n in range(1, n_max + 1):
-        for rows in product(*_row_tables(n, p, True)):
+        for rows in product(*_row_tables(n, p)):
             k = mod_rank(rows, p)
             s = _nonzeros(rows)
             if 4 * k * s < n * n:
@@ -169,10 +163,10 @@ def basis_weight_census(
 ) -> dict[tuple[int, int, int], int]:
     """Counts of all n x n matrices by (rank, min column/row basis weights).
 
-    The enumeration is raw: every matrix is listed and counted on its own.
-    Only the (rank, min basis weight) of each multiset of row or column
-    vectors is memoized, and a matrix whose row and column ranks disagree
-    raises RuntimeError.
+    Each multiset of n rows is listed once and counted once per order of its
+    rows, n!/prod(mult!) times; the budget bounds the C(p^n + n - 1, n)
+    multisets. A matrix whose row and column ranks disagree raises
+    RuntimeError.
 
     The census runs in one process; `jobs` stays only so that `jobs=1`
     calls keep working, and any other value is refused.
@@ -183,13 +177,13 @@ def basis_weight_census(
         raise ValueError(f"modulus {p} is not prime")
     if n < 0:
         raise ValueError(f"matrix size {n} is negative")
-    total = _domain_size(n, p, False)
-    check_budget(total, enumeration_budget, f"matrix census at n={n}, p={p}")
+    check_budget(comb(p**n + n - 1, n), enumeration_budget, f"matrix census at n={n}, p={p}")
     memo: dict = {}
     counts: dict[tuple[int, int, int], int] = {}
-    for rows in product(*_row_tables(n, p, False)):
+    for rows in combinations_with_replacement(product(range(p), repeat=n), n):
+        orders = factorial(n) // prod(factorial(len(list(run))) for _, run in groupby(rows))
         key = _matrix_profile(rows, p, memo)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + orders
     return counts
 
 
@@ -272,7 +266,7 @@ def verify_principal_submatrix_decomposition(
     violations: dict[int, list] = {rank_bound: [] for rank_bound in ks}
     for n in range(1, n_max + 1):
         subsets = _subsets(n)
-        for rows in product(*_row_tables(n, p, True)):
+        for rows in product(*_row_tables(n, p)):
             rank = _profile(tuple(sorted(rows)), p, memo)[0]
             for rank_bound in ks:
                 if rank > rank_bound:

@@ -462,6 +462,23 @@ class TestLLLCommand:
             f"error: max_exponent {max_exponent} leaves no grid point to check\n"
         )
 
+    @pytest.mark.parametrize("q", [6, 10])
+    def test_field_size_not_a_prime_power_exit_1(self, capsys, q):
+        code = main(["lll", "analyze", "--h-graph", "K3", "--field-size", str(q), "--n", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: field size {q} is not a prime power\n"
+
+    def test_edge_subset_sweep_over_budget_exit_2(self, capsys):
+        # K8 has 28 edges: 2^28 subsets against the fixed budget of 2^22
+        code = main(["lll", "analyze", "--h-graph", "K8", "--field-size", "2", "--n", "100"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "budget refusal: edge-subset sweep over 28 edges refused "
+            "(estimated work 268435456, budget 4194304)\n"
+        )
+
     @pytest.mark.parametrize(
         "mode, max_exponent",
         [(["--find-threshold"], 40), (["--find-threshold", "--max-exponent", "3"], 3),
@@ -576,6 +593,18 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "unrecognized arguments: --jobs 2" in captured.err
+
+    def test_count_failed_basis_search_exit_4(self, capsys, monkeypatch):
+        # a rank that the basis search cannot reach is the kernels' fault,
+        # not the user's: [[0, 1], [1, 0]] is given rank 3
+        rank = verifiers.mod_rank
+        monkeypatch.setattr(
+            verifiers, "mod_rank", lambda rows, p: rank(rows, p) + (rows == ((0, 1), (1, 0)))
+        )
+        code = main(["verify", "lemma", "--id", "count", "--n", "2", "--field", "2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("internal error: basis search at rank 3: fewer than 3")
 
     def test_count_sweep_lines(self, capsys):
         code, out = run_cli(

@@ -96,6 +96,16 @@ class TestConstants:
         with pytest.raises(ValueError):
             find_constants(gamma_stats(complete_graph(3)), 1)
 
+    @pytest.mark.parametrize("q", [6, 10])
+    def test_field_size_not_a_prime_power_refused(self, q):
+        with pytest.raises(ValueError, match=f"^field size {q} is not a prime power$"):
+            find_constants(gamma_stats(complete_graph(3)), q)
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_prime_power_field_size_accepted(self, q):
+        inst = find_constants(gamma_stats(complete_graph(3)), q)
+        assert inst.field_size == q and inst.constraints_ok()
+
 
 class TestChecker:
     def test_tiny_n_fails(self):

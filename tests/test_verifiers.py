@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -48,15 +49,14 @@ def _sorted(violations: list) -> list:
 
 class TestMatrixDecoder:
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (2, 3)])
-    @pytest.mark.parametrize("nonzero_diagonal", [False, True])
-    def test_visits_each_matrix_once(self, n, p, nonzero_diagonal):
-        total = verifiers._domain_size(n, p, nonzero_diagonal)
-        tables = verifiers._row_tables(n, p, nonzero_diagonal)
+    def test_visits_each_matrix_once(self, n, p):
+        total = (p - 1) ** n * p ** (n * n - n)
+        tables = verifiers._row_tables(n, p)
         seen = list(product(*tables))
         expected = {
             tuple(flat[i * n:(i + 1) * n] for i in range(n))
             for flat in product(range(p), repeat=n * n)
-            if not nonzero_diagonal or all(flat[i * (n + 1)] for i in range(n))
+            if all(flat[i * (n + 1)] for i in range(n))
         }
         assert len(seen) == len(set(seen)) == total
         assert set(seen) == expected
@@ -241,9 +241,30 @@ class TestSparseBasisCount:
 
 
 class TestBasisWeightCensus:
-    @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (2, 3), (2, 5)])
+    @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (2, 5)])
     def test_matches_subset_oracle(self, n, p):
         assert basis_weight_census(n, p) == oracle_basis_weight_census(n, p)
+
+    @pytest.mark.parametrize(
+        "n,p", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (2, 5), (2, 7)]
+    )
+    def test_counts_every_matrix(self, n, p):
+        # the row orders of the multisets add up to the p^(n^2) matrices
+        assert sum(basis_weight_census(n, p).values()) == p ** (n * n)
+
+    @pytest.mark.parametrize("n,p,multisets", [(4, 2, 3876), (3, 3, 3654)])
+    def test_one_profile_per_row_multiset(self, monkeypatch, n, p, multisets):
+        # C(p^n + n - 1, n) multisets of n rows, against p^(n^2) matrices
+        calls = []
+        profile = verifiers._matrix_profile
+
+        def counted(rows, p, memo):
+            calls.append(rows)
+            return profile(rows, p, memo)
+
+        monkeypatch.setattr(verifiers, "_matrix_profile", counted)
+        basis_weight_census(n, p)
+        assert len(calls) == len(set(calls)) == multisets == math.comb(p**n + n - 1, n)
 
     def test_rank_counts_closed_form(self):
         # rank-r matrices among the 4x4 over GF(2): 1, 225, 7350, 37800, 20160
@@ -269,12 +290,18 @@ class TestBasisWeightCensus:
         with pytest.raises(ValueError, match="matrix size -1 is negative"):
             basis_weight_census(-1, 2)
 
-    def test_huge_domain_is_a_budget_refusal(self):
-        # 2^14400 matrices: an estimate too long for str() in full
+    def test_budget_counts_row_multisets(self):
+        # C(36, 5) = 376992 multisets of five rows, not the 2^25 matrices
         with pytest.raises(BudgetExceededError) as info:
-            basis_weight_census(120, 2)
-        assert info.value.estimate == 2**14400
-        assert "estimated work about 10^4334" in str(info.value)
+            basis_weight_census(5, 2)
+        assert info.value.estimate == 376992
+
+    def test_huge_domain_is_a_budget_refusal(self):
+        # C(2^125 + 124, 125) multisets: an estimate too long for str() in full
+        with pytest.raises(BudgetExceededError) as info:
+            basis_weight_census(125, 2)
+        assert info.value.estimate == math.comb(2**125 + 124, 125)
+        assert "estimated work about 10^4494" in str(info.value)
 
     def test_one_search_per_vector_multiset_per_call(self, monkeypatch):
         # C(16 + 3, 4) = 3876 multisets of four vectors of GF(2)^4; a second
@@ -296,11 +323,23 @@ class TestBasisWeightCensus:
         rank = verifiers.mod_rank
 
         def lying(rows, p):
-            # [[0, 1], [0, 0]] has rows {(0,0), (0,1)} but columns {(0,0), (1,0)}
-            return rank(rows, p) + ((0, 1) in rows)
+            # [[0, 1], [0, 1]] has rows {(0,1), (0,1)} but columns {(0,0), (1,1)}
+            return rank(rows, p) + (rows == ((0, 1), (0, 1)))
 
         monkeypatch.setattr(verifiers, "mod_rank", lying)
         with pytest.raises(RuntimeError, match="differs from column rank"):
+            basis_weight_census(2, 2)
+
+    def test_failed_basis_search_is_an_internal_error(self, monkeypatch):
+        # [[0, 1], [1, 0]] has rows and columns {(0,1), (1,0)}: both ranks
+        # agree on the lie, and the basis search finds no third vector
+        rank = verifiers.mod_rank
+
+        def lying(rows, p):
+            return rank(rows, p) + (rows == ((0, 1), (1, 0)))
+
+        monkeypatch.setattr(verifiers, "mod_rank", lying)
+        with pytest.raises(RuntimeError, match="^internal error: basis search at rank 3"):
             basis_weight_census(2, 2)
 
 
@@ -319,9 +358,9 @@ class TestPrincipalSubmatrix:
         calls = []
         tables = verifiers._row_tables
 
-        def counted(n, p, nonzero_diagonal):
+        def counted(n, p):
             calls.append(n)
-            return tables(n, p, nonzero_diagonal)
+            return tables(n, p)
 
         monkeypatch.setattr(verifiers, "_row_tables", counted)
         assert len(verify_principal_submatrix_decomposition(3, 2)) == 3
