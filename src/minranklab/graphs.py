@@ -170,16 +170,11 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     if any(s <= 0 for s in part_sizes):
         raise ValueError("part sizes must be positive")
     n = sum(part_sizes)
-    part_of = []
-    for p, size in enumerate(part_sizes):
-        part_of.extend([p] * size)
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if j != i and part_of[j] != part_of[i]:
-                row |= 1 << j
-        rows.append(row)
+    full = (1 << n) - 1
+    rows: list[int] = []
+    for size in part_sizes:
+        part_mask = ((1 << size) - 1) << len(rows)
+        rows.extend([full ^ part_mask] * size)
     return Graph(n, tuple(rows))
 
 
@@ -218,41 +213,32 @@ def complement(g: Graph) -> Graph:
 def contains_subgraph(g: Graph, h: Graph) -> bool:
     """True iff some injective vertex map sends every edge of h into g.
 
-    Not-necessarily-induced containment, answered by backtracking over
-    injective maps with h's vertices placed in descending-degree order.
+    Not-necessarily-induced containment by backtracking, with h's vertices
+    placed in descending-degree order. The candidates for the next one are
+    the unused vertices adjacent to the images of all its placed neighbors,
+    one AND of adjacency rows, tried lowest first.
     """
     if h.n == 0:
         raise ValueError("pattern graph needs at least one vertex")
     if h.n > g.n:
         return False
     order = sorted(range(h.n), key=lambda v: -h.degree(v))
-    placed_mask = [0] * h.n  # h-neighbors of order[i] among order[:i]
-    for i, v in enumerate(order):
-        for j in range(i):
-            if h.has_edge(v, order[j]):
-                placed_mask[i] |= 1 << j
+    placed_neighbors = [
+        [j for j in range(i) if h.has_edge(v, order[j])] for i, v in enumerate(order)
+    ]
+    full = (1 << g.n) - 1
     image = [0] * h.n
 
     def extend(i: int, used: int) -> bool:
         if i == h.n:
             return True
-        need = placed_mask[i]
-        for cand in range(g.n):
-            bit = 1 << cand
-            if used & bit:
-                continue
-            ok = True
-            m = need
-            while m:
-                lsb = m & -m
-                if not (g.adj[cand] >> image[lsb.bit_length() - 1]) & 1:
-                    ok = False
-                    break
-                m ^= lsb
-            if ok:
-                image[i] = cand
-                if extend(i + 1, used | bit):
-                    return True
+        candidates = full & ~used
+        for j in placed_neighbors[i]:
+            candidates &= g.adj[image[j]]
+        for cand in _bits(candidates):
+            image[i] = cand
+            if extend(i + 1, used | 1 << cand):
+                return True
         return False
 
     return extend(0, 0)
@@ -317,18 +303,17 @@ def degeneracy(g: Graph) -> tuple[int, list[int]]:
 
 
 def greedy_coloring(g: Graph, order: Optional[Sequence[int]] = None) -> list[int]:
-    """First-fit coloring along the given vertex order (default 0..n-1)."""
+    """First-fit coloring along the given vertex order (default 0..n-1): each
+    vertex takes the lowest color whose vertex bitset misses its neighbors."""
     if order is None:
         order = range(g.n)
     colors = [-1] * g.n
+    classes = [0] * g.n  # a vertex meets at most deg(v) < n colors
     for v in order:
-        used = 0
-        for u in _bits(g.adj[v]):
-            if colors[u] >= 0:
-                used |= 1 << colors[u]
         c = 0
-        while (used >> c) & 1:
+        while classes[c] & g.adj[v]:
             c += 1
+        classes[c] |= 1 << v
         colors[v] = c
     return colors
 
@@ -368,27 +353,25 @@ def independence_number(g: Graph) -> int:
 
 
 def _color_with(g: Graph, k: int) -> Optional[list[int]]:
-    """Proper coloring with at most k colors, or None. Backtracking search."""
-    if g.n == 0:
-        return []
+    """Proper coloring with at most k colors, or None, by backtracking in
+    descending-degree order. Color c is free for v iff c's vertex bitset
+    misses v's neighbors. Colors are tried in ascending order, with at most
+    one fresh color (a symmetry break)."""
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
     colors = [-1] * g.n
+    classes = [0] * k
 
     def place(i: int, used: int) -> bool:
         if i == g.n:
             return True
         v = order[i]
-        forbidden = 0
-        for u in _bits(g.adj[v]):
-            if colors[u] >= 0:
-                forbidden |= 1 << colors[u]
-        limit = min(k, used + 1)  # symmetry break: at most one fresh color
-        for c in range(limit):
-            if not (forbidden >> c) & 1:
+        for c in range(min(k, used + 1)):
+            if not classes[c] & g.adj[v]:
+                classes[c] |= 1 << v
                 colors[v] = c
                 if place(i + 1, max(used, c + 1)):
                     return True
-                colors[v] = -1
+                classes[c] ^= 1 << v
         return False
 
     return colors if place(0, 0) else None
@@ -416,20 +399,10 @@ def optimal_coloring(g: Graph, chromatic: int) -> list[int]:
 
 
 def is_forest(g: Graph) -> bool:
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """True iff g has no cycle, that is iff its degeneracy is at most 1: a
+    cycle has minimum degree 2, and every forest has a vertex of degree at
+    most 1."""
+    return degeneracy(g)[0] <= 1
 
 
 def is_tree(g: Graph) -> bool:

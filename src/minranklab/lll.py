@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .budgets import check_budget
 from .graphs import Graph
 
@@ -174,7 +172,9 @@ class LLLCheckReport:
         return [c.name for c in self.conditions if not c.ok]
 
 
-def _mpf(value) -> mpmath.mpf:
+def _mpf(value):
+    import mpmath
+
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
     return mpmath.mpf(value)
@@ -190,6 +190,8 @@ def check_lll_inequalities(inst: LLLInstance, n: int) -> LLLCheckReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    import mpmath  # loaded here, so importing the package does not load it
+
     with mpmath.workprec(150):
         stats = inst.stats
         h, f = stats.h, stats.f

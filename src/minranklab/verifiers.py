@@ -364,6 +364,8 @@ def exhaustive_g(
 
 def multipartite_witness(n: int, h: int) -> Graph:
     """Complete multipartite graph with parts of size h-1 (one possibly smaller)."""
+    if h < 2:
+        raise ValueError("the multipartite witness needs a pattern with at least 2 vertices")
     if n < h - 1:
         raise ValueError("need n >= h-1 for the multipartite witness")
     parts = [h - 1] * (n // (h - 1))
@@ -387,6 +389,7 @@ def verify_forest_bound(
     if n < h - 1:
         raise ValueError("need n >= h-1")
     expected = h - 1
+    witness = multipartite_witness(n, h)  # refuses a one-vertex tree before the sweep
     sweep = exhaustive_g(n, h_tree, p, graph_budget=graph_budget, work_budget=work_budget)
     violations = []
     if sweep.value != expected:
@@ -399,7 +402,6 @@ def verify_forest_bound(
                 "witness_edges": sweep.witness.edges(),
             }
         )
-    witness = multipartite_witness(n, h)
     if contains_subgraph(complement(witness), h_tree):
         violations.append({"kind": "witness-not-admissible", "n": n})
     witness_value = minrank_exact(witness, p, work_budget).value

@@ -626,6 +626,14 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out.strip().splitlines()[1])["violations"] == []
 
+    def test_forest_refuses_a_one_vertex_tree(self, capsys):
+        code = main(["verify", "lemma", "--id", "forest", "--n", "0", "--h", "K1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: the multipartite witness needs a pattern with at least 2 vertices\n"
+        )
+
     def test_forest_sweep_past_the_digit_limit_is_a_budget_refusal(self, capsys):
         # 2^19900 labeled graphs: an estimate too long for str() in full
         code = main([

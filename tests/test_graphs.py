@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from minranklab.graphs import (
     Digraph,
@@ -23,6 +25,7 @@ from minranklab.graphs import (
     is_tree,
     min_odd_cycle_at_most,
     named_graph,
+    optimal_coloring,
     path_graph,
     sample_digraph,
     star_graph,
@@ -299,6 +302,11 @@ def to_networkx(g):
     return out
 
 
+def is_proper(g, colors):
+    """Every vertex colored, and no edge inside a color class."""
+    return min(colors, default=0) >= 0 and all(colors[u] != colors[v] for u, v in g.edges())
+
+
 def relabeled(g, perm):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
@@ -343,6 +351,42 @@ class TestAgainstNetworkx:
         cycles = nx.simple_cycles(to_networkx(g), length_bound=ell)
         odd = [len(c) for c in cycles if len(c) % 2]
         assert min_odd_cycle_at_most(g, ell) == min(odd, default=None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.sampled_from(["K1", "K3", "K4", "C4", "C5", "P4", "star3"]))
+    def test_containment_is_a_monomorphism(self, g, name):
+        h = named_graph(name)
+        matcher = GraphMatcher(to_networkx(g), to_networkx(h))
+        assert contains_subgraph(g, h) == matcher.subgraph_is_monomorphic()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_forest_and_tree_agree_with_networkx(self, g):
+        graph = to_networkx(g)  # networkx refuses to classify the null graph
+        assert is_forest(g) == (g.n == 0 or nx.is_forest(graph))
+        assert is_tree(g) == (g.n > 0 and nx.is_tree(graph))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_chi_is_the_fewest_maximal_independent_sets_covering_v(self, g):
+        # every independent set lies in a maximal one, so the fewest color
+        # classes are the fewest maximal independent sets whose union is V
+        sets = [frozenset(c) for c in nx.find_cliques(nx.complement(to_networkx(g)))]
+        fewest = next(
+            k
+            for k in range(g.n + 1)
+            if any(len(frozenset().union(*cover)) == g.n for cover in combinations(sets, k))
+        )
+        assert chromatic_number(g) == fewest
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_colorings_are_proper(self, g):
+        chi = chromatic_number(g)
+        optimal = optimal_coloring(g, chi)
+        assert is_proper(g, optimal) and len(set(optimal)) == chi
+        assert is_proper(g, greedy_coloring(g))
+        assert is_proper(g, greedy_coloring(g, degeneracy(g)[1][::-1]))
 
 
 class TestCanonicalKey:

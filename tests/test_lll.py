@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import minranklab
 from minranklab.graphs import (
     Graph,
     complete_graph,
@@ -22,6 +26,17 @@ from minranklab.lll import (
 )
 
 from _oracles import geometric_sum_direct
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # only check_lll_inequalities needs mpmath, so only it imports mpmath
+    src = str(Path(minranklab.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import minranklab.cli; "
+        "print('mpmath' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def test_e3_bounds_are_certified():

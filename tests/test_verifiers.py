@@ -430,6 +430,13 @@ class TestForestBound:
         with pytest.raises(ValueError):
             verify_forest_bound(2, star_graph(3), 2)
 
+    def test_rejects_a_one_vertex_tree(self):
+        # K1 is a tree, but the witness's parts would have h - 1 = 0 vertices
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            verify_forest_bound(0, complete_graph(1), 2)
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            multipartite_witness(3, 1)
+
     def test_multipartite_witness_shape(self):
         w = multipartite_witness(5, 4)
         assert w.n == 5
