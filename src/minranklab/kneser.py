@@ -17,12 +17,13 @@ order, the c_u and rank_bound, so the witness keeps only M and its rank.
 The exact rank over Q is a closed form. M depends only on |A ∩ B|, so it
 lies in the Bose-Mesner algebra of the Johnson scheme J(d, s): on the j-th
 common eigenspace, of dimension C(d, j) - C(d, j-1), it acts as
-sum_i P(s-i) E_i(j), with E_i the Eberlein polynomials (Delsarte 1973;
-Godsil and Meagher 2015). The rank is the total dimension of the
-eigenspaces where that value is nonzero. The rank mod a prime, computed
-from the entries, must equal it. Reduction mod p cannot raise the rank of
-an integer matrix, and for a prime this large it keeps the rank on every
-tested instance, so a mismatch exposes an error in one of the two.
+sum_{u >= j} c_u C(s-j, u-j) C(d-u-j, s-u), read off the factorization
+through the eigenvalues of the inclusion matrices (Godsil and Meagher
+2015). The rank is the total dimension of the eigenspaces where that value
+is nonzero. The rank mod a prime, computed from the entries, must equal
+it. Reduction mod p cannot raise the rank of an integer matrix, and for a
+prime this large it keeps the rank on every tested instance, so a mismatch
+exposes an error in one of the two.
 """
 
 from __future__ import annotations
@@ -107,25 +108,22 @@ def johnson_spectrum(params: KneserParams) -> list[tuple[int, int]]:
     """(eigenvalue, multiplicity) of the representing matrix on each common
     eigenspace V_j, j = 0..min(s, d-s), of the Johnson scheme J(d, s).
 
-    The matrix is sum_i P(s-i) A_i, A_i joining the s-sets that meet in s-i
-    elements. A_i acts on V_j as the Eberlein polynomial
-    E_i(j) = sum_h (-1)^h C(j, h) C(s-j, i-h) C(d-s-j, i-h), and V_j has
+    The matrix is sum_u c_u W_u^T W_u over u <= s-m, W_u being the inclusion
+    matrix of the u-subsets against the s-subsets, so (W_u^T W_u)[A][B] =
+    C(|A ∩ B|, u). W_u^T W_u acts on V_j as C(s-j, u-j) C(d-u-j, s-u) for
+    j <= u and as 0 for j > u (Godsil and Meagher 2015), and V_j has
     dimension C(d, j) - C(d, j-1).
     """
     d, s, m = params.d, params.s, params.m
-    top = min(s, d - s)
-    spectrum = []
-    for j in range(top + 1):
-        value = sum(
-            intersection_polynomial(s, m, s - i) * sum(
-                (-1) ** h * math.comb(j, h) * math.comb(s - j, i - h)
-                * math.comb(d - s - j, i - h)
-                for h in range(i + 1)
-            )
-            for i in range(top + 1)
+    coeffs = pattern_polynomial_coefficients(s, m)
+    return [
+        (
+            sum(coeffs[u] * math.comb(s - j, u - j) * math.comb(d - u - j, s - u)
+                for u in range(j, s - m + 1)),
+            math.comb(d, j) - (math.comb(d, j - 1) if j else 0),
         )
-        spectrum.append((value, math.comb(d, j) - (math.comb(d, j - 1) if j else 0)))
-    return spectrum
+        for j in range(min(s, d - s) + 1)
+    ]
 
 
 def spectral_rank(params: KneserParams) -> int:
@@ -293,14 +291,18 @@ class ConstructionReport:
     rank_bound: int
     vertex_count: int
     delta_star: float
+    rank: int
+    delta: float
 
 
 def rank_bound_report(ell: int, n: int) -> ConstructionReport:
-    """Parameters and exact rank bound for an n-vertex odd-girth construction.
+    """Parameters, rank bound and exact rank for an n-vertex odd-girth construction.
 
     d is the smallest multiple of 2*ell whose middle binomial reaches n,
-    m = d/(2*ell), and delta_star = 1 - log(rank_bound)/log(C(d, d/2)).
-    Everything is exact big-integer arithmetic; no matrix is materialized.
+    m = d/(2*ell), delta_star = 1 - log(rank_bound)/log(C(d, d/2)) from the
+    factorization's width, and delta the same exponent from the exact rank
+    spectral_rank(K(d, d/2, m)). Both are rounded to 6 places. Everything is
+    exact big-integer arithmetic; no matrix is materialized.
     """
     check_odd_length(ell)
     if n < 1:
@@ -310,6 +312,11 @@ def rank_bound_report(ell: int, n: int) -> ConstructionReport:
         d += 2 * ell
     m = d // (2 * ell)
     params = KneserParams(d, d // 2, m)
-    delta_star = round(1.0 - math.log(params.rank_bound) / math.log(params.vertex_count), 6)
-    return ConstructionReport(ell, n, d, m, params.rank_bound, params.vertex_count, delta_star)
+    rank = spectral_rank(params)
+    log_n = math.log(params.vertex_count)
+    delta_star = round(1.0 - math.log(params.rank_bound) / log_n, 6)
+    delta = round(1.0 - math.log(rank) / log_n, 6)
+    return ConstructionReport(
+        ell, n, d, m, params.rank_bound, params.vertex_count, delta_star, rank, delta
+    )
 

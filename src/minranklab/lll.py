@@ -17,6 +17,7 @@ from typing import Optional
 
 from .budgets import check_budget
 from .graphs import Graph
+from .matrices import is_prime
 
 # find_threshold scans n = 2^1 .. 2^max_exponent, by default up to 2^40
 DEFAULT_MAX_EXPONENT = 40
@@ -114,11 +115,23 @@ class LLLInstance:
 
 
 def _is_prime_power(q: int) -> bool:
-    """q >= 2 is a power of its smallest prime factor d."""
-    d = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    while q % d == 0:
-        q //= d
-    return q == 1
+    """q >= 2 is a prime power: its root r = q^(1/e) for the largest e with an
+    exact root is no perfect power, so q is one iff r is prime."""
+    for e in range(q.bit_length(), 0, -1):
+        r = _integer_root(q, e)
+        if r**e == q:
+            return is_prime(r)
+    return False
+
+
+def _integer_root(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + q // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def find_constants(stats: HStats, field_size: int) -> LLLInstance:

@@ -17,14 +17,44 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 
+# The first 13 primes. As Miller-Rabin bases they decide primality exactly
+# below MILLER_RABIN_LIMIT (Sorenson and Webster 2015).
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+
+
 def is_prime(p: int) -> bool:
+    """Exact primality: a lookup and trial division by SMALL_PRIMES, which
+    settle every p < 43^2, then Miller-Rabin to those bases. A p at or above
+    MILLER_RABIN_LIMIT with no small factor is refused with a ValueError."""
+    if p in _SMALL_PRIME_SET:
+        return True
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in SMALL_PRIMES:
+        if p % b == 0:
             return False
-        d += 1
+    if p < 43 * 43:
+        return True
+    if p >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"primality of {p} is not decided at or above {MILLER_RABIN_LIMIT}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for b in SMALL_PRIMES:
+        # x = b^d mod p by square-and-multiply; the package keeps its one
+        # three-argument pow for the modular inverse in _echelon_residue
+        x = 1
+        for bit in bin(d)[2:]:
+            x = x * x * (b if bit == "1" else 1) % p
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -12,10 +12,14 @@ the test is an OR and an AND-NOT of those masks, run in W or in W-perp,
 whichever has the smaller dimension. The first feasible space in canonical
 order supplies the witness.
 
-Within a pivot set the free cells are filled depth-first in the canonical
-order, and each vertex test runs as soon as every column it reads is fixed,
-so a failing test cuts off every filling below it. The scan still meets the
-feasible fillings in canonical order, so pruning leaves the witness as it is.
+Canonical order: pivot sets in combinations order, and within one the free
+cells in product order, listed column-major (by column, then row) when the
+test runs in W and row-major when it runs in W-perp. Each depth-first step
+fills one whole column, the column that the test side reads, in increasing
+column order, and each vertex test runs as soon as every column it reads is
+fixed, so a failing test cuts off every filling below it. The scan still
+meets the feasible fillings in canonical order, so pruning leaves the
+witness as it is.
 """
 
 from __future__ import annotations
@@ -115,16 +119,6 @@ class MinrankResult:
 # ---------------------------------------------------------------------------
 # canonical reduced-echelon enumeration
 
-def _free_cells(n: int, pivots: Sequence[int]) -> list[tuple[int, int]]:
-    pivot_set = set(pivots)
-    return [
-        (r, j)
-        for r, c in enumerate(pivots)
-        for j in range(c + 1, n)
-        if j not in pivot_set
-    ]
-
-
 @lru_cache(maxsize=None)
 def _nonzero_functionals(p: int, d: int) -> tuple[int, ...]:
     """Per vector c of GF(p)^d, encoded as sum(c_r * p**r): the bitmask of the
@@ -156,47 +150,63 @@ def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
     W-perp's basis reads straight off B: each non-pivot column j is the unit
     vector of its own slot, and pivot column c_r holds -B[r][j] in slot j.
 
-    The free cells are filled depth-first, in row-major order, each with the
-    values 0..p-1 in turn, so the leaves come in the product order of the
-    fillings. Each cell adds to one column code (j in W, c_r in W-perp), and
-    a vertex test reads only v's column and its listed columns, so the test
-    runs as soon as the last cell touching those columns is set (at the root
-    when none is free) and a failure cuts the whole subtree below. Every cut
-    leaf fails a test, so the first leaf reached is the first feasible
-    filling in product order, the one a fill-then-test scan would return.
+    The free cells are filled depth-first, one column per step: in W the
+    step for non-pivot column j sets the cells (r, j), rows increasing; in
+    W-perp the step for pivot column c_r sets the cells (r, j), j increasing.
+    Steps go in increasing column index, so W is filled column-major and
+    W-perp row-major, and a step tries its column's codes in lexicographic
+    order of the cell values. The leaves thus come in the product order of
+    the fillings with the cells in that order. A vertex test reads only v's
+    column and its listed columns, so it runs at the step that fixes the
+    last of them (at the root when none is free) and a failure cuts the
+    whole subtree below. Every cut leaf fails a test, so the first leaf
+    reached is the first feasible filling in that order, the one a
+    fill-then-test scan would return. A step overwrites its column before
+    any test reads it, and no test at an earlier step reads it, so nothing
+    is restored on backtracking.
     """
     k = len(pivots)
-    cells = _free_cells(n, pivots)
     dual = 2 * k > n
     codes = [0] * n
-    # step 0 sets nothing and runs the tests that read no free cell; step
-    # d > 0 sets free cell d - 1 and runs the tests it is the last to touch
-    steps = [(0, [0])]
     if dual:
         slot = {j: s for s, j in enumerate(j for j in range(n) if j not in pivots)}
         for j, s in slot.items():
             codes[j] = p**s
-        steps += [(pivots[r], [(-a % p) * p ** slot[j] for a in range(p)]) for r, j in cells]
+        # a cell (r, j) puts -B[r][j] in slot j of pivot column c_r
+        sign = -1
+        columns = [(c, [(r, j, p ** slot[j]) for j in slot if j > c]) for r, c in enumerate(pivots)]
     else:
+        # a cell (r, j) puts B[r][j] in slot r of column j
         for r, c in enumerate(pivots):
             codes[c] = p**r
-        steps += [(j, [a * p**r for a in range(p)]) for r, j in cells]
+        sign = 1
+        columns = [(j, [(r, j, p**r) for r, c in enumerate(pivots) if c < j])
+                   for j in range(n) if j not in pivots]
     table = _nonzero_functionals(p, n - k if dual else k)
     masks = [table[c] for c in codes]
-    last_step = {j: d for d, (j, _) in enumerate(steps) if d}
+    # step 0 sets nothing and runs the tests that read no free cell; each
+    # later step is (column, its cells, (mask, cell values) per code), the
+    # codes in lexicographic order of the cell values
+    steps = [(0, [], [(masks[0], ())])]
+    for j, cells in columns:
+        if cells:
+            options = [(0, ())]
+            for _, _, weight in cells:
+                options = [(code + (sign * a % p) * weight, vals + (a,))
+                           for code, vals in options for a in range(p)]
+            steps.append((j, cells, [(table[code], vals) for code, vals in options]))
+    last_step = {j: d for d, (j, _, _) in enumerate(steps) if d}
     ready = [[] for _ in steps]
     for v, others in tests[dual]:
         ready[max(last_step.get(u, 0) for u in (v, *others))].append((v, others))
-    values = [0] * len(steps)
+    chosen = [()] * len(steps)
 
     def descend(depth):
-        """Try each value of step depth, and below it the steps after it;
-        True at the first feasible leaf, with its filling left in values."""
-        j, delta = steps[depth]
-        start = codes[j]
-        for a, add in enumerate(delta):
-            codes[j] = start + add
-            masks[j] = table[codes[j]]
+        """Try each code of step depth's column, and below it the steps after
+        it; True at the first feasible leaf, with its cell values in chosen."""
+        j, _, options = steps[depth]
+        for mask, vals in options:
+            masks[j] = mask
             for v, others in ready[depth]:
                 span = 0
                 for u in others:
@@ -205,10 +215,8 @@ def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
                     break
             else:
                 if depth + 1 == len(steps) or descend(depth + 1):
-                    values[depth] = a
+                    chosen[depth] = vals
                     return True
-        codes[j] = start
-        masks[j] = table[start]
         return False
 
     found = descend(0)
@@ -218,8 +226,9 @@ def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
     rows = [[0] * n for _ in range(k)]
     for r, c in enumerate(pivots):
         rows[r][c] = 1
-    for (r, j), value in zip(cells, values[1:]):
-        rows[r][j] = value
+    for (_, cells, _), vals in zip(steps, chosen):
+        for (r, j, _), a in zip(cells, vals):
+            rows[r][j] = a
     return rows
 
 
@@ -248,11 +257,10 @@ def _coloring_witness(g: GraphLike, p: int, upper: int) -> tuple[int, FieldMatri
     """
     colors = optimal_coloring(_cover_graph(g), upper)
     value = max(colors) + 1 if colors else 0
-    rows = [
-        [1 if colors[i] == colors[j] else 0 for j in range(g.n)]
-        for i in range(g.n)
-    ]
-    return value, FieldMatrix.from_rows(p, rows)
+    # the rows of a color class share one indicator tuple, so a stored
+    # witness holds one row per class
+    blocks = [tuple(1 if c == color else 0 for c in colors) for color in range(value)]
+    return value, FieldMatrix(p, tuple(blocks[c] for c in colors))
 
 
 def solver_work_estimate(n: int, p: int, k_lo: int, k_hi: int) -> int:

@@ -88,10 +88,11 @@ def oracle_first_feasible_space(g, p: int, k: int) -> list[list[int]] | None:
     column i's row may not use. Returned as its reduced-echelon basis.
 
     Canonical order: pivot sets in combinations order; for each, the free
-    cells (row r, column j > pivot r, j not a pivot) row-major, filled in
-    product order. Vertex i is served when column i of the basis raises the
-    rank of its forbidden columns: then some combination of the rows is
-    zero on every forbidden column and nonzero at i. The answer depends only
+    cells (row r, column j > pivot r, j not a pivot) filled in product order,
+    the cells listed column-major (by j, then r) when 2k <= n and row-major
+    (by r, then j) when 2k > n. Vertex i is served when column i of the
+    basis raises the rank of its forbidden columns: then some combination of
+    the rows is zero on every forbidden column and nonzero at i. The answer depends only
     on the set of those columns, so it is memoized on it.
     """
     n = g.n
@@ -100,12 +101,10 @@ def oracle_first_feasible_space(g, p: int, k: int) -> list[list[int]] | None:
     ]
     raises: dict = {}  # (forbidden columns, column i) -> column i raises their rank
     for pivots in combinations(range(n), k):
-        free = [
-            (r, j)
-            for r, c in enumerate(pivots)
-            for j in range(c + 1, n)
-            if j not in pivots
-        ]
+        free = sorted(
+            ((r, j) for r, c in enumerate(pivots) for j in range(c + 1, n) if j not in pivots),
+            key=lambda cell: cell if 2 * k > n else cell[::-1],
+        )
         for values in product(range(p), repeat=len(free)):
             basis = [[0] * n for _ in range(k)]
             for r, c in enumerate(pivots):
@@ -123,6 +122,16 @@ def oracle_first_feasible_space(g, p: int, k: int) -> list[list[int]] | None:
             else:
                 return basis
     return None
+
+
+def oracle_smallest_factor(q: int) -> int:
+    """The smallest divisor d >= 2 of q >= 2, by trial division."""
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            return d
+        d += 1
+    return q
 
 
 def oracle_min_basis_weight(vectors: list[list[int]], p: int) -> int:
@@ -219,6 +228,32 @@ def oracle_min_odd_cycle(g: Graph, limit: int) -> int | None:
                 ):
                     return length
     return None
+
+
+def oracle_johnson_spectrum(d: int, s: int, m: int) -> list[tuple[int, int]]:
+    """(eigenvalue, multiplicity) on each eigenspace V_j, j = 0..min(s, d-s),
+    of the matrix P(|A ∩ B|) over the s-subsets, P(t) = prod_{j=m}^{s-1} (t - j).
+
+    The matrix is sum_i P(s-i) A_i, A_i joining the s-sets that meet in s-i
+    elements, and A_i acts on V_j as the Eberlein polynomial
+    E_i(j) = sum_h (-1)^h C(j, h) C(s-j, i-h) C(d-s-j, i-h) (Delsarte 1973).
+    """
+    from math import comb, prod
+
+    top = min(s, d - s)
+    return [
+        (
+            sum(
+                prod(s - i - t for t in range(m, s)) * sum(
+                    (-1) ** h * comb(j, h) * comb(s - j, i - h) * comb(d - s - j, i - h)
+                    for h in range(i + 1)
+                )
+                for i in range(top + 1)
+            ),
+            comb(d, j) - (comb(d, j - 1) if j else 0),
+        )
+        for j in range(top + 1)
+    ]
 
 
 def oracle_multilinear_coefficients(d: int, s: int, m: int) -> dict[int, int]:

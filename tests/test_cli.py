@@ -206,6 +206,13 @@ class TestMinrankCommand:
         )
         assert code == 2
 
+    def test_large_prime_field_reaches_the_budget_refusal(self, capsys):
+        # primality of a 15-digit field size is settled before the budget check
+        code = main(["minrank", "exact", "--field", "100000000000031", "--graph", "C5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("budget refusal: minrank enumeration for n=5")
+
     def test_missing_file_exit_1(self, capsys):
         code, _ = run_cli(
             ["minrank", "exact", "--field", "2", "--graph", "/nope/missing.g6"],
@@ -399,6 +406,7 @@ class TestKneserCommand:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["d"] == 6 and result["rank_bound"] == 22
+        assert result["rank"] == 10 and result["delta"] == 0.231378
 
     def test_bad_params_exit_1(self, capsys):
         code, _ = run_cli(

@@ -33,7 +33,11 @@ from minranklab.kneser import (
 from minranklab.matrices import mod_rank
 from minranklab.minrank import represents
 
-from _oracles import oracle_fraction_rank, oracle_multilinear_coefficients
+from _oracles import (
+    oracle_fraction_rank,
+    oracle_johnson_spectrum,
+    oracle_multilinear_coefficients,
+)
 
 
 class TestParams:
@@ -229,6 +233,14 @@ class TestRankCertificate:
                         math.comb(d, s) * math.factorial(s - m)
                     )
 
+    def test_spectrum_matches_the_eberlein_form(self):
+        for d in range(0, 15):
+            for s in range(0, d + 1):
+                for m in range(0, s + 1):
+                    assert johnson_spectrum(KneserParams(d, s, m)) == oracle_johnson_spectrum(
+                        d, s, m
+                    ), (d, s, m)
+
     def test_spectral_rank_at_half_size(self):
         for s in range(2, 13):
             for m in range(2, s + 1):
@@ -354,6 +366,30 @@ class TestOddGirth:
                         assert inter >= d // 2 - 2 * i * m
 
 
+# (ell, d, rank, rank_bound, delta, delta_star) of the construction at
+# n = C(d, d/2), for d = 2*ell, 4*ell, ..., 12*ell
+CONSTRUCTION_TABLE = [
+    (3, 6, 10, 22, 0.231378, -0.031815),
+    (3, 12, 495, 794, 0.091401, 0.022205),
+    (3, 18, 18564, 31180, 0.089217, 0.041166),
+    (3, 24, 735471, 1271626, 0.087914, 0.050944),
+    (3, 30, 30045015, 53009102, 0.087037, 0.056932),
+    (3, 36, 1251677700, 2241812648, 0.0864, 0.060982),
+    (5, 10, 126, 386, 0.125356, -0.077116),
+    (5, 20, 125970, 263950, 0.031582, -0.029416),
+    (5, 30, 86493225, 194129627, 0.030972, -0.011895),
+    (5, 40, 62852101650, 147437500478, 0.030619, -0.002622),
+    (5, 50, 47129212243960, 114075475473136, 0.030386, 0.003162),
+    (5, 60, 36052387482172425, 89352514190182639, 0.030219, 0.007131),
+    (7, 14, 1716, 6476, 0.085144, -0.077996),
+    (7, 28, 30421755, 76717268, 0.015801, -0.037032),
+    (7, 42, 353697121050, 969327400112, 0.015545, -0.021778),
+    (7, 56, 4355031703297275, 12598620105244084, 0.015399, -0.013645),
+    (7, 70, 55347740058143507128, 166450976144260284576, 0.015304, -0.008546),
+    (7, 84, 717695188972926181773210, 2223112132762996246666808, 0.015236, -0.005033),
+]
+
+
 class TestEntropyReport:
     def test_small_instance(self):
         rep = rank_bound_report(3, 20)
@@ -361,6 +397,28 @@ class TestEntropyReport:
         assert rep.rank_bound == 22
         assert rep.vertex_count == 20
         assert rep.delta_star < 0  # bound is vacuous at this scale
+        assert (rep.rank, rep.delta) == (10, 0.231378)
+
+    @pytest.mark.parametrize("ell, d, rank, rank_bound, delta, delta_star", CONSTRUCTION_TABLE)
+    def test_construction_table(self, ell, d, rank, rank_bound, delta, delta_star):
+        rep = rank_bound_report(ell, math.comb(d, d // 2))
+        assert (rep.d, rep.m, rep.vertex_count) == (d, d // (2 * ell), math.comb(d, d // 2))
+        assert (rep.rank, rep.rank_bound, rep.delta, rep.delta_star) == (
+            rank, rank_bound, delta, delta_star
+        )
+        spectrum = oracle_johnson_spectrum(d, d // 2, d // (2 * ell))
+        assert rank == sum(mult for value, mult in spectrum if value)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_exact_delta_above_and_bound_delta_below_the_limit(self, ell):
+        # the exact rank's exponent falls toward the entropy limit from above,
+        # the factorization width's rises toward it from below
+        limit = entropy_delta_limit(ell)
+        rows = [row for row in CONSTRUCTION_TABLE if row[0] == ell]
+        deltas = [row[4] for row in rows]
+        bounds = [row[5] for row in rows]
+        assert all(limit <= b < a for a, b in zip(deltas, deltas[1:]))
+        assert all(a < b <= limit for a, b in zip(bounds, bounds[1:]))
 
     def test_d_is_smallest_multiple(self):
         rep = rank_bound_report(3, 21)  # just past C(6,3)

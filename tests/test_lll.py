@@ -19,13 +19,14 @@ from minranklab.graphs import (
 from minranklab.lll import (
     E3_LOWER,
     E3_UPPER,
+    _is_prime_power,
     check_lll_inequalities,
     find_constants,
     find_threshold,
     gamma_stats,
 )
 
-from _oracles import geometric_sum_direct
+from _oracles import geometric_sum_direct, oracle_smallest_factor
 
 
 def test_importing_the_cli_leaves_mpmath_unloaded():
@@ -120,6 +121,21 @@ class TestConstants:
     def test_prime_power_field_size_accepted(self, q):
         inst = find_constants(gamma_stats(complete_graph(3)), q)
         assert inst.field_size == q and inst.constraints_ok()
+
+
+def test_prime_powers_agree_with_trial_division_below_1e5():
+    for q in range(2, 10**5):
+        d = oracle_smallest_factor(q)
+        rest = q
+        while rest % d == 0:
+            rest //= d
+        assert _is_prime_power(q) == (rest == 1), q
+
+
+def test_large_prime_powers():
+    p = 100_000_000_000_031
+    assert _is_prime_power(p) and _is_prime_power(p**2) and _is_prime_power(2**4000)
+    assert not _is_prime_power(p * (p + 2)) and not _is_prime_power(6**40)
 
 
 class TestChecker:

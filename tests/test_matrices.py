@@ -10,7 +10,9 @@ from minranklab.matrices import (
     FieldMatrix,
     RationalMatrix,
     format_matrix_text,
+    MILLER_RABIN_LIMIT,
     gf2_rank,
+    is_prime,
     min_basis_weight,
     mod_nullspace,
     mod_rank,
@@ -18,7 +20,12 @@ from minranklab.matrices import (
     sparsity,
 )
 
-from _oracles import _plain_mod_rank, oracle_fraction_rank, oracle_min_basis_weight
+from _oracles import (
+    _plain_mod_rank,
+    oracle_fraction_rank,
+    oracle_min_basis_weight,
+    oracle_smallest_factor,
+)
 
 
 def test_prime_check_at_construction():
@@ -27,6 +34,30 @@ def test_prime_check_at_construction():
         FieldMatrix.from_rows(4, [[1]])
     with pytest.raises(ValueError):
         FieldMatrix.from_rows(1, [[0]])
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert not any(is_prime(q) for q in range(-3, 2))
+        assert all(is_prime(q) == (oracle_smallest_factor(q) == q) for q in range(2, 10**5))
+
+    @pytest.mark.parametrize("q", [
+        3_215_031_751,  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5, 7
+        3_825_123_056_546_413_051,  # 149491 * 747451 * 34233211, to every base up to 23
+        318_665_857_834_031_151_167_461,  # 399165290221 * 798330580441, up to 37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, q):
+        assert not is_prime(q)
+
+    def test_large_primes(self):
+        for q in (100_000_000_000_031, 2**61 - 1, 10**24 + 7, 3_317_044_064_679_887_384_961_997):
+            assert is_prime(q)
+        assert not is_prime((2**61 - 1) * (2**19 - 1))
+
+    def test_refuses_at_the_limit_unless_a_small_factor_decides(self):
+        assert not is_prime(MILLER_RABIN_LIMIT + 1)  # even
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(2**127 - 1)
 
 
 def test_entries_reduced():

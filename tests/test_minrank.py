@@ -212,7 +212,8 @@ class TestSolverAgainstOracle:
         arcs = data.draw(st.lists(st.sampled_from(cells), unique=True,
                                   max_size=ORACLE_MAX_ARCS[p])) if cells else []
         d = Digraph.from_arcs(n, arcs)
-        assert minrank_exact(d, p).value == oracle_minrank(d, p)
+        r = TestCanonicalOrder.checked(d, p)
+        assert r.value == oracle_minrank(d, p)
 
 
 class TestKernel:
@@ -315,6 +316,17 @@ class TestCanonicalOrder:
                     cuts += 1
                     break
         return cuts
+
+    def test_witness_of_column_major_order(self):
+        # k = 3 <= n/2, so the scan runs in W and fills column-major; the first
+        # feasible space in row-major order gives another witness
+        g = Digraph(6, (50, 36, 10, 21, 15, 28))
+        r = self.checked(g, 3)
+        assert (r.value, r.lower, r.upper) == (3, 2, 4)
+        assert r.witness == FieldMatrix.from_rows(3, [
+            [1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 0, 1], [0, 2, 1, 1, 0, 0],
+            [2, 0, 1, 1, 2, 0], [2, 1, 0, 0, 2, 0], [0, 0, 1, 1, 0, 1],
+        ])
 
     def test_every_digraph_gf2(self):
         graphs = (g for n in range(1, 5) for g in all_digraphs(n))
@@ -428,6 +440,13 @@ class TestBudget:
         # no enumeration is needed, so even huge graphs answer instantly
         assert minrank_exact(empty_graph(30), 2).value == 30
         assert minrank_exact(complete_graph(30), 3).value == 1
+
+    def test_c7_gf5_with_a_raised_budget(self):
+        # every 3-dimensional space of GF(5)^7 fails, so the coloring witness
+        # decides the value
+        estimate = solver_work_estimate(7, 5, 3, 4)
+        r = minrank_exact(cycle_graph(7), 5, work_budget=estimate)
+        assert (r.value, r.lower, r.upper) == (4, 3, 4)
 
     def test_budget_override(self):
         g = cycle_graph(7)
