@@ -253,37 +253,28 @@ def check_odd_length(ell: int) -> None:
 def min_odd_cycle_at_most(g: Graph, ell: int) -> Optional[int]:
     """Smallest odd cycle length <= ell in g, or None if there is none.
 
-    Breadth-first search in the parity double cover: the shortest odd closed
-    walk through v is the distance from (v, even) to (v, odd), and the
-    shortest odd closed walk overall is the shortest odd cycle.
+    Breadth-first layers from each vertex v: an edge inside layer d closes an
+    odd walk of length 2d + 1 through v, so an odd cycle of at most that
+    length exists. On a shortest odd cycle C through v, the two middle
+    vertices are adjacent and both at distance (|C| - 1) / 2 from v, so the
+    least 2d + 1 over all v is the shortest odd cycle.
     """
     check_odd_length(ell)
     best: Optional[int] = None
-    cap = ell
+    cap = ell // 2
     for v in range(g.n):
-        frontier = 1 << v
-        seen_even = frontier
-        seen_odd = 0
+        seen = layer = 1 << v
         depth = 0
-        while frontier and depth < cap:
+        while layer and depth < cap:
             depth += 1
-            nxt = 0
-            m = frontier
-            while m:
-                lsb = m & -m
-                nxt |= g.adj[lsb.bit_length() - 1]
-                m ^= lsb
-            if depth % 2:
-                nxt &= ~seen_odd
-                seen_odd |= nxt
-                if (nxt >> v) & 1:
-                    best = depth
-                    cap = depth - 1
-                    break
-            else:
-                nxt &= ~seen_even
-                seen_even |= nxt
-            frontier = nxt
+            reach = 0
+            for u in _bits(layer):
+                reach |= g.adj[u]
+            layer = reach & ~seen
+            seen |= layer
+            if any(g.adj[u] & layer for u in _bits(layer)):
+                best, cap = 2 * depth + 1, depth - 1
+                break
         if best == 3:
             return 3
     return best

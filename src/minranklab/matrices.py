@@ -42,11 +42,7 @@ def is_prime(p: int) -> bool:
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
     d = (p - 1) >> s
     for b in SMALL_PRIMES:
-        # x = b^d mod p by square-and-multiply; the package keeps its one
-        # three-argument pow for the modular inverse in _echelon_residue
-        x = 1
-        for bit in bin(d)[2:]:
-            x = x * x * (b if bit == "1" else 1) % p
+        x = pow(b, d, p)
         if x == 1 or x == p - 1:
             continue
         for _ in range(s - 1):

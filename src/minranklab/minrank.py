@@ -248,19 +248,19 @@ def _witness_from_space(n: int, p: int, rows, outside) -> FieldMatrix:
     return FieldMatrix.from_rows(p, out)
 
 
-def _coloring_witness(g: GraphLike, p: int, upper: int) -> tuple[int, FieldMatrix]:
+def _coloring_witness(g: GraphLike, p: int, upper: int) -> FieldMatrix:
     """Clique-cover witness: all-ones blocks over the color classes.
 
     Reached only when no rank below `upper` works, so the cover graph's
     chromatic number is exactly `upper` (a coloring with fewer colors would
-    be a lower-rank witness) and is not recomputed.
+    be a lower-rank witness) and is not recomputed. The blocks sit on
+    disjoint classes, so the witness's rank is the number of classes.
     """
     colors = optimal_coloring(_cover_graph(g), upper)
-    value = max(colors) + 1 if colors else 0
     # the rows of a color class share one indicator tuple, so a stored
     # witness holds one row per class
-    blocks = [tuple(1 if c == color else 0 for c in colors) for color in range(value)]
-    return value, FieldMatrix(p, tuple(blocks[c] for c in colors))
+    blocks = {color: tuple(1 if c == color else 0 for c in colors) for color in set(colors)}
+    return FieldMatrix(p, tuple(blocks[c] for c in colors))
 
 
 def solver_work_estimate(n: int, p: int, k_lo: int, k_hi: int) -> int:
@@ -269,13 +269,10 @@ def solver_work_estimate(n: int, p: int, k_lo: int, k_hi: int) -> int:
 
 
 def _checked(
-    g: GraphLike, value: int, witness: FieldMatrix, lower: int, upper: int, coloring: bool
+    g: GraphLike, value: int, witness: FieldMatrix, lower: int, upper: int
 ) -> MinrankResult:
-    """The answer, once the witness represents g with rank `value` (and, for a
-    coloring witness, `value` is the upper bound). Failures raise RuntimeError,
-    so the checks hold under `python -O` too."""
-    if coloring and value != upper:
-        raise RuntimeError(f"internal error: coloring value {value} != upper bound {upper}")
+    """The answer, once the witness represents g with rank `value`. Failures
+    raise RuntimeError, so the checks hold under `python -O` too."""
     if not represents(witness, g):
         raise RuntimeError(f"internal error: the rank-{value} witness does not represent g")
     rank = witness.rank()
@@ -318,6 +315,5 @@ def minrank_exact(
             rows = _scan_pivots(n, p, pivots, (outside, neighbors))
             if rows is not None:
                 witness = _witness_from_space(n, p, rows, dict(outside))
-                return _checked(g, k, witness, lower, upper, coloring=False)
-    value, witness = _coloring_witness(g, p, upper)
-    return _checked(g, value, witness, lower, upper, coloring=True)
+                return _checked(g, k, witness, lower, upper)
+    return _checked(g, upper, _coloring_witness(g, p, upper), lower, upper)

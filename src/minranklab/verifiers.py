@@ -329,6 +329,8 @@ def exhaustive_g(
     `dedup` stays only so that `dedup=True` calls keep working; `dedup=False`
     asked for the removed solve-every-graph path and is refused.
     """
+    if not is_prime(p):
+        raise ValueError(f"field size {p} is not prime")
     if not dedup:
         raise ValueError("exhaustive_g always deduplicates by isomorphism class")
     if n < 0:
@@ -455,6 +457,8 @@ def estimate_g(
     i uses the i-th getrandbits(63) of Random(seed) as its seed, and the
     witness is the first sample attaining the maximum.
     """
+    if not is_prime(p):
+        raise ValueError(f"field size {p} is not prime")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from minranklab import cli, kneser, verifiers
+from minranklab import cli, kneser, minrank, verifiers
 from minranklab.cli import main
 from minranklab.graphio import write_graph6
 from minranklab.graphs import cycle_graph
@@ -278,6 +278,22 @@ class TestMinrankCommand:
         assert code == 4
         assert captured.out == ""
         assert captured.err == "internal error: the rank-3 witness has rank 0\n"
+
+    def test_split_coloring_exit_4(self, capsys, monkeypatch):
+        # C5's cover coloring with one class split in two: still proper, but
+        # its witness has rank 4, so the answer 3 is not certified
+        color = minrank.optimal_coloring
+
+        def split(g, k):
+            colors = color(g, k)
+            colors[next(v for v in range(g.n) if colors[v] in colors[:v])] = k
+            return colors
+
+        monkeypatch.setattr(minrank, "optimal_coloring", split)
+        code = main(["minrank", "exact", "--graph", "C5", "--field", "2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "internal error: the rank-3 witness has rank 4\n"
 
 
 class TestKneserCommand:
@@ -730,6 +746,15 @@ class TestExperimentCommand:
                 "n,p,samples,accepted,acceptance_rate,best,witness,edge_prob,seed\r\n"
                 "4,2,60,16,0.26666666666666666,2,CR,0.5,7\r\n"
             )
+
+    @pytest.mark.parametrize("field", ["4", "1"])
+    def test_g_estimate_refuses_a_non_prime_field(self, capsys, field):
+        # the K1 pattern rejects every sample, so the check cannot wait for a solve
+        code = main(["experiment", "g-estimate", "--n", "5", "--h", "K1", "--field", field,
+                     "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: field size {field} is not prime\n"
 
     def test_no_jobs_option(self, capsys):
         # the sampler runs in one process

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from minranklab import graphs
 from minranklab.graphs import (
     Digraph,
     Graph,
@@ -172,6 +173,24 @@ class TestOddCycles:
 
     def test_bipartite_has_none(self):
         assert min_odd_cycle_at_most(complete_multipartite([3, 3]), 7) is None
+
+    def test_layers_run_out_before_a_long_bound(self, monkeypatch):
+        # the layers from each vertex of a path end one past its eccentricity
+        # (at most 5 on P6), so a length bound past that adds no work
+        walked = []
+        bits = graphs._bits
+
+        def counted(mask):
+            walked.append(mask)
+            if len(walked) > 10_000:
+                raise RuntimeError("the layers never ran out")
+            return bits(mask)
+
+        monkeypatch.setattr(graphs, "_bits", counted)
+        assert min_odd_cycle_at_most(path_graph(6), 13) is None
+        short = walked[:]
+        assert min_odd_cycle_at_most(path_graph(6), 10**9 + 1) is None
+        assert walked == 2 * short
 
 
 class TestDegeneracyColoring:

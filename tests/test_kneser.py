@@ -338,6 +338,21 @@ class TestOddGirth:
     def test_hypothesis_fails(self):
         assert not odd_girth_guarantee(6, 2, 3)
 
+    @pytest.mark.parametrize(
+        "d, s, m, ell, girth",
+        [
+            (7, 3, 1, 7, 7),  # the odd graph O_4
+            (7, 3, 1, 5, None),
+            (9, 4, 1, 9, 9),  # the odd graph O_5
+            (9, 4, 1, 7, None),
+            (10, 5, 2, 7, 5),
+            (12, 6, 2, 3, None),
+            (12, 6, 2, 7, 7),
+        ],
+    )
+    def test_odd_girths_past_the_brute_force_oracle(self, d, s, m, ell, girth):
+        assert min_odd_cycle_at_most(kneser_graph(KneserParams(d, s, m)), ell) == girth
+
     def test_parity_errors(self):
         with pytest.raises(ValueError):
             odd_girth_guarantee(5, 1, 3)

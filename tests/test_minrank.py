@@ -390,6 +390,20 @@ class TestAnswerChecks:
 
 
 class TestColoringPath:
+    def test_split_coloring_is_refused_by_its_rank(self, monkeypatch):
+        # a proper coloring of C5's cover graph with one class split in two has
+        # 4 classes, so its all-ones-block witness has rank 4, not the value 3
+        color = minrank.optimal_coloring
+
+        def split(g, k):
+            colors = color(g, k)
+            colors[next(v for v in range(g.n) if colors[v] in colors[:v])] = k
+            return colors
+
+        monkeypatch.setattr(minrank, "optimal_coloring", split)
+        with pytest.raises(RuntimeError, match="^internal error: the rank-3 witness has rank 4$"):
+            minrank_exact(cycle_graph(5), 2)
+
     def test_chromatic_number_computed_once(self, monkeypatch):
         # C5 is answered by its coloring witness: chi(complement) = upper = 3
         calls = []

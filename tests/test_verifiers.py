@@ -498,6 +498,14 @@ class TestExhaustive:
         with pytest.raises(BudgetExceededError):
             exhaustive_g(7, complete_graph(3), 2)
 
+    @pytest.mark.parametrize("p", [4, 1])
+    def test_non_prime_field_refused_before_the_sweep(self, p, monkeypatch):
+        # a one-vertex pattern leaves no graph to solve, so only an up-front
+        # check sees the field
+        monkeypatch.setattr(verifiers, "contains_subgraph", None)
+        with pytest.raises(ValueError, match=f"^field size {p} is not prime$"):
+            exhaustive_g(3, complete_graph(1), p)
+
     @pytest.mark.parametrize("n", [-3, -3000])
     def test_negative_vertex_count_refused_before_budget(self, n):
         with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
@@ -555,6 +563,12 @@ class TestEstimate:
         assert est.best == best
         assert est.accepted == sum(v is not None for v in values)
         assert est.witness == maximizers[0]
+
+    @pytest.mark.parametrize("p", [4, 1])
+    def test_non_prime_field_refused_with_nothing_accepted(self, p):
+        # a one-vertex pattern rejects every sample, so no solve sees the field
+        with pytest.raises(ValueError, match=f"^field size {p} is not prime$"):
+            estimate_g(5, complete_graph(1), p, samples=3)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
