@@ -42,7 +42,6 @@ from .kneser import (
     binary_entropy,
     entropy_delta_limit,
     intersection_polynomial,
-    kneser_graph,
     odd_girth_guarantee,
     pattern_polynomial_coefficients,
     rank_bound_report,

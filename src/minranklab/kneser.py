@@ -63,27 +63,6 @@ def subset_masks(d: int, s: int) -> list[int]:
     return [sum(1 << i for i in combo) for combo in combinations(range(d), s)]
 
 
-def _vertex_masks(params: KneserParams, vertex_budget: int) -> list[int]:
-    """The vertices of K(d,s,m) as subset_masks(d, s), refused past the budget."""
-    d, s, m = params.d, params.s, params.m
-    check_budget(params.vertex_count, vertex_budget, f"materializing K({d},{s},{m})")
-    return subset_masks(d, s)
-
-
-def kneser_graph(params: KneserParams) -> Graph:
-    """The graph on all s-subsets with adjacency |A ∩ B| < m, pair by pair."""
-    masks = _vertex_masks(params, DEFAULT_VERTEX_BUDGET)
-    n = len(masks)
-    rows = [0] * n
-    for a in range(n):
-        ma = masks[a]
-        for b in range(a + 1, n):
-            if (ma & masks[b]).bit_count() < params.m:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return Graph(n, tuple(rows))
-
-
 def intersection_polynomial(s: int, m: int, t: int) -> int:
     """prod_{j=m}^{s-1} (t - j): nonzero diagonal value at t=s, zero on m..s-1."""
     return math.prod(t - j for j in range(m, s))
@@ -181,7 +160,8 @@ def representation_matrix(
     CERTIFICATE_PRIME of the entries must equal it.
     """
     d, s, m = params.d, params.s, params.m
-    masks = _vertex_masks(params, vertex_budget)
+    check_budget(params.vertex_count, vertex_budget, f"materializing K({d},{s},{m})")
+    masks = subset_masks(d, s)
     coeffs = pattern_polynomial_coefficients(s, m)
     poly = [intersection_polynomial(s, m, t) for t in range(s + 1)]
 

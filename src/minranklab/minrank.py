@@ -1,25 +1,23 @@
 """Representation checking and exact minrank over prime fields.
 
 The exact solver does iterative deepening on the target rank k: for each k it
-enumerates all k-dimensional row spaces over GF(p) through their canonical
-reduced-echelon bases. A row space W is feasible for vertex i when it has a
-vector supported inside i's allowed columns with a nonzero i-th coordinate,
-which reduces to one column-span membership test per vertex: column i of the
-basis lies outside the span of the columns i may not use. One kernel serves
-every field: each column is read as a vector code, a cached table maps the
-code to the bitmask of projective functionals that do not vanish on it, and
-the test is an OR and an AND-NOT of those masks, run in W or in W-perp,
-whichever has the smaller dimension. The first feasible space in canonical
-order supplies the witness.
+enumerates the k-dimensional row spaces W over GF(p). W is feasible for
+vertex i when it has a vector supported inside i's allowed columns with a
+nonzero i-th coordinate, which reduces to one column-span membership test per
+vertex. The solver lists one space S through its canonical reduced-echelon
+bases: S = W when 2k <= n, and S = W-perp, of dimension n - k, when 2k > n,
+with W recovered as the nullspace of S for the witness. One kernel serves
+every field and both cases: each column of S's basis is read as a vector
+code, a cached table maps the code to the bitmask of projective functionals
+that do not vanish on it, and the test is an OR and an AND-NOT of those
+masks. The first feasible space in canonical order supplies the witness.
 
-Canonical order: pivot sets in combinations order, and within one the free
-cells in product order, listed column-major (by column, then row) when the
-test runs in W and row-major when it runs in W-perp. Each depth-first step
-fills one whole column, the column that the test side reads, in increasing
-column order, and each vertex test runs as soon as every column it reads is
-fixed, so a failing test cuts off every filling below it. The scan still
-meets the feasible fillings in canonical order, so pruning leaves the
-witness as it is.
+Canonical order: pivot sets of S in combinations order, and within one the
+free cells in product order, listed column-major (by column, then row). Each
+depth-first step fills one whole column in increasing column order, and each
+vertex test runs as soon as every column it reads is fixed, so a failing
+test cuts off every filling below it. The scan still meets the feasible
+fillings in canonical order, so pruning leaves the witness as it is.
 """
 
 from __future__ import annotations
@@ -131,80 +129,64 @@ def _nonzero_functionals(p: int, d: int) -> tuple[int, ...]:
     )
 
 
-def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
-    """First feasible echelon basis (as int-list rows) for this pivot set, or None.
+def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests, dual: bool):
+    """First passing reduced-echelon basis (as int-list rows) of a space S
+    with this pivot set, or None.
 
-    tests[dual] lists (v, columns) in test order: the columns outside
-    allowed[v] for the test in W, v's out-neighbors for the test in W-perp.
+    tests lists (v, columns) in test order. Vertex v's test reads col_v of
+    the basis and its listed columns Z: masks[v] & ~OR(masks[Z]), where
+    masks[j] is the set of projective functionals that do not vanish on
+    column j, is nonzero iff col_v is outside the span of the columns in Z.
+    With dual false, S is W and Z the columns outside allowed[v]: v is
+    feasible iff W has a vector zero on Z and nonzero at v, so v passes when
+    some functional survives. With dual true, S is W-perp and Z the
+    out-neighbors N_v: the vectors of W zero outside allowed[v] have the
+    annihilator W-perp + span(e_z : z outside allowed[v]), and v is feasible
+    iff e_v is not in it, iff no y in W-perp vanishes on N_v with y_v != 0,
+    so v passes when no functional survives.
 
-    Vertex v is feasible for W = rowspan(B) iff col_v(B) is not in the span of
-    the columns Z_v outside allowed[v], i.e. iff some functional vanishes on
-    Z_v but not on v: masks[v] & ~OR(masks[Z_v]) != 0, where masks[j] is the
-    set of projective functionals that do not vanish on column j.
-
-    The table of masks has p^d entries of (p^d - 1)/(p - 1) bits for columns
-    in GF(p)^d, so when 2k > n the same test runs in W-perp (d = n - k). With
-    S = W & {w_Z = 0}, S-perp = W-perp + span(e_z : z in Z_v), so v is
-    feasible iff e_v is not in it, iff no y in W-perp vanishes on the
-    out-neighbors N_v with y_v != 0: masks[v] & ~OR(masks[N_v]) == 0.
-    W-perp's basis reads straight off B: each non-pivot column j is the unit
-    vector of its own slot, and pivot column c_r holds -B[r][j] in slot j.
-
-    The free cells are filled depth-first, one column per step: in W the
-    step for non-pivot column j sets the cells (r, j), rows increasing; in
-    W-perp the step for pivot column c_r sets the cells (r, j), j increasing.
-    Steps go in increasing column index, so W is filled column-major and
-    W-perp row-major, and a step tries its column's codes in lexicographic
-    order of the cell values. The leaves thus come in the product order of
-    the fillings with the cells in that order. A vertex test reads only v's
-    column and its listed columns, so it runs at the step that fixes the
+    The free cells are filled depth-first, one column per step: the step for
+    non-pivot column j sets the cells (r, j), rows increasing, and tries the
+    column's codes in lexicographic order of the cell values. Steps go in
+    increasing column index, so the leaves come in the product order of the
+    fillings with the cells listed column-major. A vertex test reads only
+    v's column and its listed columns, so it runs at the step that fixes the
     last of them (at the root when none is free) and a failure cuts the
     whole subtree below. Every cut leaf fails a test, so the first leaf
-    reached is the first feasible filling in that order, the one a
+    reached is the first passing filling in that order, the one a
     fill-then-test scan would return. A step overwrites its column before
     any test reads it, and no test at an earlier step reads it, so nothing
     is restored on backtracking.
     """
-    k = len(pivots)
-    dual = 2 * k > n
-    codes = [0] * n
-    if dual:
-        slot = {j: s for s, j in enumerate(j for j in range(n) if j not in pivots)}
-        for j, s in slot.items():
-            codes[j] = p**s
-        # a cell (r, j) puts -B[r][j] in slot j of pivot column c_r
-        sign = -1
-        columns = [(c, [(r, j, p ** slot[j]) for j in slot if j > c]) for r, c in enumerate(pivots)]
-    else:
-        # a cell (r, j) puts B[r][j] in slot r of column j
-        for r, c in enumerate(pivots):
-            codes[c] = p**r
-        sign = 1
-        columns = [(j, [(r, j, p**r) for r, c in enumerate(pivots) if c < j])
-                   for j in range(n) if j not in pivots]
-    table = _nonzero_functionals(p, n - k if dual else k)
-    masks = [table[c] for c in codes]
+    d = len(pivots)
+    table = _nonzero_functionals(p, d)
+    masks = [table[0]] * n
+    for r, c in enumerate(pivots):
+        masks[c] = table[p**r]
     # step 0 sets nothing and runs the tests that read no free cell; each
-    # later step is (column, its cells, (mask, cell values) per code), the
-    # codes in lexicographic order of the cell values
-    steps = [(0, [], [(masks[0], ())])]
-    for j, cells in columns:
-        if cells:
-            options = [(0, ())]
-            for _, _, weight in cells:
-                options = [(code + (sign * a % p) * weight, vals + (a,))
-                           for code, vals in options for a in range(p)]
-            steps.append((j, cells, [(table[code], vals) for code, vals in options]))
-    last_step = {j: d for d, (j, _, _) in enumerate(steps) if d}
+    # later step is (column, (mask, cell values) per code), the codes in
+    # lexicographic order of the cell values, cell r weighing p**r. A
+    # non-pivot column has a cell in each row whose pivot lies left of it,
+    # so the columns between two pivots share their codes.
+    steps = [(0, [(masks[0], ())])]
+    codes = [(0, ())]
+    for j in range(n):
+        if j in pivots:
+            weight = p ** len(codes[0][1])
+            codes = [(code + a * weight, vals + (a,)) for code, vals in codes for a in range(p)]
+            options = [(table[code], vals) for code, vals in codes]
+        elif len(codes) > 1:
+            steps.append((j, options))
+    last_step = {j: depth for depth, (j, _) in enumerate(steps) if depth}
     ready = [[] for _ in steps]
-    for v, others in tests[dual]:
+    for v, others in tests:
         ready[max(last_step.get(u, 0) for u in (v, *others))].append((v, others))
     chosen = [()] * len(steps)
 
     def descend(depth):
         """Try each code of step depth's column, and below it the steps after
-        it; True at the first feasible leaf, with its cell values in chosen."""
-        j, _, options = steps[depth]
+        it; True at the first passing leaf, with its cell values in chosen."""
+        j, options = steps[depth]
         for mask, vals in options:
             masks[j] = mask
             for v, others in ready[depth]:
@@ -223,11 +205,11 @@ def _scan_pivots(n: int, p: int, pivots: Sequence[int], tests):
     del descend  # it refers to itself, a cycle that would hold this state until gc
     if not found:
         return None
-    rows = [[0] * n for _ in range(k)]
+    rows = [[0] * n for _ in range(d)]
     for r, c in enumerate(pivots):
         rows[r][c] = 1
-    for (_, cells, _), vals in zip(steps, chosen):
-        for (r, j, _), a in zip(cells, vals):
+    for (j, _), vals in zip(steps, chosen):
+        for r, a in enumerate(vals):
             rows[r][j] = a
     return rows
 
@@ -311,9 +293,14 @@ def minrank_exact(
     outside = [(v, [u for u in range(n) if not (allowed[v] >> u) & 1]) for v in vorder]
     neighbors = [(v, [u for u in range(n) if u != v and (allowed[v] >> u) & 1]) for v in vorder]
     for k in range(lower, upper):
-        for pivots in combinations(range(n), k):
-            rows = _scan_pivots(n, p, pivots, (outside, neighbors))
+        # the mask table has p^d entries for S of dimension d, so the scan
+        # lists the smaller of W and W-perp
+        dual = 2 * k > n
+        for pivots in combinations(range(n), n - k if dual else k):
+            rows = _scan_pivots(n, p, pivots, neighbors if dual else outside, dual)
             if rows is not None:
+                if dual:
+                    rows = mod_nullspace(rows, n, p)
                 witness = _witness_from_space(n, p, rows, dict(outside))
                 return _checked(g, k, witness, lower, upper)
     return _checked(g, upper, _coloring_witness(g, p, upper), lower, upper)

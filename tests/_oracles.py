@@ -83,34 +83,48 @@ def oracle_rref(rows: list[list[int]], p: int) -> list[list[int]]:
 
 def oracle_first_feasible_space(g, p: int, k: int) -> list[list[int]] | None:
     """The solver's witness space, found by brute force: the first
-    k-dimensional row space of GF(p)^n, in canonical order, that holds for
+    k-dimensional row space W of GF(p)^n, in canonical order, that holds for
     every vertex i a vector with a nonzero i-th entry and zeros at every
     column i's row may not use. Returned as its reduced-echelon basis.
 
-    Canonical order: pivot sets in combinations order; for each, the free
-    cells (row r, column j > pivot r, j not a pivot) filled in product order,
-    the cells listed column-major (by j, then r) when 2k <= n and row-major
-    (by r, then j) when 2k > n. Vertex i is served when column i of the
-    basis raises the rank of its forbidden columns: then some combination of
-    the rows is zero on every forbidden column and nonzero at i. The answer depends only
-    on the set of those columns, so it is memoized on it.
+    Canonical order: the listed space S is W when 2k <= n and W-perp, of
+    dimension n - k, when 2k > n. S runs through its reduced-echelon bases:
+    pivot sets in combinations order; for each, the free cells (row r,
+    column j > pivot r, j not a pivot) filled in product order, the cells
+    listed column-major (by j, then r). W-perp is spanned by the vectors
+    e_j - sum_r S[r][j] e_{c_r}, one per non-pivot column j of S. Vertex i
+    is served when column i of W's basis raises the rank of its forbidden
+    columns: then some combination of the rows is zero on every forbidden
+    column and nonzero at i. The answer depends only on the set of those
+    columns, so it is memoized on it.
     """
     n = g.n
+    dual = 2 * k > n
     forbidden = [
         [j for j in range(n) if j != i and not (g.adj[i] >> j) & 1] for i in range(n)
     ]
     raises: dict = {}  # (forbidden columns, column i) -> column i raises their rank
-    for pivots in combinations(range(n), k):
+    for pivots in combinations(range(n), n - k if dual else k):
         free = sorted(
             ((r, j) for r, c in enumerate(pivots) for j in range(c + 1, n) if j not in pivots),
-            key=lambda cell: cell if 2 * k > n else cell[::-1],
+            key=lambda cell: cell[::-1],
         )
         for values in product(range(p), repeat=len(free)):
-            basis = [[0] * n for _ in range(k)]
+            basis = [[0] * n for _ in pivots]
             for r, c in enumerate(pivots):
                 basis[r][c] = 1
             for (r, j), v in zip(free, values):
                 basis[r][j] = v
+            if dual:
+                perp = []
+                for j in range(n):
+                    if j not in pivots:
+                        y = [0] * n
+                        y[j] = 1
+                        for r, c in enumerate(pivots):
+                            y[c] = -basis[r][j] % p
+                        perp.append(y)
+                basis = perp
             columns = list(zip(*basis))
             for i in range(n):
                 key = (frozenset(columns[j] for j in forbidden[i]), columns[i])
@@ -120,7 +134,7 @@ def oracle_first_feasible_space(g, p: int, k: int) -> list[list[int]] | None:
                 if not raises[key]:
                     break
             else:
-                return basis
+                return oracle_rref(basis, p)
     return None
 
 
@@ -228,6 +242,18 @@ def oracle_min_odd_cycle(g: Graph, limit: int) -> int | None:
                 ):
                     return length
     return None
+
+
+def oracle_kneser_graph(params) -> Graph:
+    """K(d, s, m): the s-subsets of {0..d-1} in lexicographic order, a pair
+    adjacent when the subsets share fewer than m elements, pair by pair."""
+    masks = [sum(1 << i for i in combo) for combo in combinations(range(params.d), params.s)]
+    rows = [0] * len(masks)
+    for a, b in combinations(range(len(masks)), 2):
+        if (masks[a] & masks[b]).bit_count() < params.m:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return Graph(len(masks), tuple(rows))
 
 
 def oracle_johnson_spectrum(d: int, s: int, m: int) -> list[tuple[int, int]]:

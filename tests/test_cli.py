@@ -378,21 +378,6 @@ class TestKneserCommand:
         assert result["edge_count"] == expected
         assert ("odd_girth" in result["checks"]) == odd_girth
 
-    def test_build_never_calls_kneser_graph(self, capsys, monkeypatch):
-        # the graph is read off the checked witness, not counted a second time
-        def refuse(*args, **kwargs):
-            raise AssertionError("kneser_graph called")
-
-        monkeypatch.setattr(kneser, "kneser_graph", refuse)
-        for odd_girth in ([], ["--check-odd-girth", "3"]):
-            code, out = run_cli(
-                ["kneser", "build", "--d", "6", "--s", "3", "--m", "2", "--check-rank"]
-                + odd_girth,
-                capsys,
-            )
-            assert code == 0
-            assert json.loads(out)["result"]["edge_count"] == 100
-
     @pytest.mark.parametrize("d, s, m", [(12, 6, 2), (30, 15, 1)])
     def test_bad_odd_girth_refused_before_the_build(self, capsys, monkeypatch, d, s, m):
         # an invalid L wins over the vertex-budget refusal of K(30,15,1)

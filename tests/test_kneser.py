@@ -22,7 +22,6 @@ from minranklab.kneser import (
     entropy_delta_limit,
     intersection_polynomial,
     johnson_spectrum,
-    kneser_graph,
     odd_girth_guarantee,
     pattern_polynomial_coefficients,
     rank_bound_report,
@@ -36,6 +35,7 @@ from minranklab.minrank import represents
 from _oracles import (
     oracle_fraction_rank,
     oracle_johnson_spectrum,
+    oracle_kneser_graph,
     oracle_multilinear_coefficients,
 )
 
@@ -58,34 +58,34 @@ class TestParams:
 
 class TestGraph:
     def test_4_2_1(self):
-        g = kneser_graph(KneserParams(4, 2, 1))
+        g = representation_matrix(KneserParams(4, 2, 1)).graph()
         assert g.n == 6
         assert g.edge_count() == 3
 
     def test_6_3_1_perfect_matching(self):
-        g = kneser_graph(KneserParams(6, 3, 1))
+        g = representation_matrix(KneserParams(6, 3, 1)).graph()
         assert g.n == 20
         assert g.edge_count() == 10
         assert all(g.degree(v) == 1 for v in range(20))
         assert min_odd_cycle_at_most(g, 3) is None
 
     def test_singletons_give_complete_graph(self):
-        g = kneser_graph(KneserParams(3, 1, 1))
+        g = representation_matrix(KneserParams(3, 1, 1)).graph()
         assert canonical_key(g) == canonical_key(complete_graph(3))
 
     def test_m_zero_is_empty(self):
-        assert kneser_graph(KneserParams(4, 2, 0)) == empty_graph(6)
+        assert representation_matrix(KneserParams(4, 2, 0)).graph() == empty_graph(6)
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
-            kneser_graph(KneserParams(30, 15, 1))
+            representation_matrix(KneserParams(30, 15, 1))
 
     def test_witness_graph_is_the_reference_graph(self):
         for d in range(0, 9):
             for s in range(0, d + 1):
                 for m in range(0, s + 1):
                     params = KneserParams(d, s, m)
-                    assert representation_matrix(params).graph() == kneser_graph(params)
+                    assert representation_matrix(params).graph() == oracle_kneser_graph(params)
 
 
 class TestCoefficients:
@@ -148,7 +148,7 @@ class TestRepresentation:
         for d, s, m in [(4, 2, 1), (5, 2, 1), (6, 3, 2), (6, 3, 1)]:
             params = KneserParams(d, s, m)
             w = representation_matrix(params)
-            assert represents(w.matrix, kneser_graph(params))
+            assert represents(w.matrix, oracle_kneser_graph(params))
 
     def test_entries_match_direct_product_evaluation(self):
         # evaluate prod_j (<c_A, c_B> - j) straight from the bitstrings
@@ -333,7 +333,7 @@ class TestOddGirth:
     def test_hypothesis_and_search(self):
         for d, m, ell in [(6, 1, 3), (10, 1, 5)]:
             assert odd_girth_guarantee(d, m, ell)
-            assert min_odd_cycle_at_most(kneser_graph(KneserParams(d, d // 2, m)), ell) is None
+            assert min_odd_cycle_at_most(oracle_kneser_graph(KneserParams(d, d // 2, m)), ell) is None
 
     def test_hypothesis_fails(self):
         assert not odd_girth_guarantee(6, 2, 3)
@@ -351,7 +351,7 @@ class TestOddGirth:
         ],
     )
     def test_odd_girths_past_the_brute_force_oracle(self, d, s, m, ell, girth):
-        assert min_odd_cycle_at_most(kneser_graph(KneserParams(d, s, m)), ell) == girth
+        assert min_odd_cycle_at_most(oracle_kneser_graph(KneserParams(d, s, m)), ell) == girth
 
     def test_parity_errors(self):
         with pytest.raises(ValueError):
@@ -364,7 +364,7 @@ class TestOddGirth:
         # at least d/2 - 2i*m common elements with the (2i+1)-th one
         for d, m in [(6, 1), (10, 1)]:
             params = KneserParams(d, d // 2, m)
-            g = kneser_graph(params)
+            g = oracle_kneser_graph(params)
             masks = subset_masks(d, d // 2)
             rng = random.Random(d)
             for _ in range(50):

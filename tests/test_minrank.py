@@ -49,16 +49,16 @@ PINNED_WITNESSES = [
                         [0, 0, 1, 1, 1, 0, 0], [1, 0, 0, 0, 1, 1, 0], [1, 0, 0, 0, 1, 1, 0],
                         [0, 1, 1, 0, 0, 0, 1]]),
     (2, 0, 7, 4, 3, 5, [[1, 0, 0, 1, 1, 0, 0], [0, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 0],
-                        [0, 0, 1, 1, 0, 0, 0], [1, 1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 0, 1, 1],
-                        [0, 1, 0, 0, 1, 1, 1]]),
+                        [0, 0, 1, 1, 0, 0, 0], [1, 1, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1, 1],
+                        [0, 0, 0, 0, 0, 1, 1]]),
     (3, 1, 6, 3, 3, 4, [[2, 1, 0, 0, 2, 0], [2, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 1],
                         [0, 1, 0, 1, 0, 0], [1, 0, 0, 1, 1, 0], [0, 0, 1, 0, 0, 1]]),
-    (3, 0, 6, 4, 2, 5, [[2, 0, 0, 1, 0, 0], [2, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 0],
-                        [2, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 0, 1]]),
+    (3, 0, 6, 4, 2, 5, [[2, 0, 0, 1, 0, 0], [0, 2, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0],
+                        [2, 0, 0, 1, 0, 0], [0, 0, 0, 0, 2, 1], [0, 2, 0, 0, 0, 1]]),
     (5, 111, 5, 2, 1, 3, [[1, 0, 1, 0, 1], [0, 1, 0, 1, 1], [1, 0, 1, 0, 1],
                           [4, 1, 4, 1, 0], [0, 1, 0, 1, 1]]),
-    (5, 9, 5, 3, 2, 4, [[1, 0, 0, 1, 0], [4, 1, 0, 0, 1], [0, 0, 1, 0, 0],
-                        [0, 1, 0, 1, 1], [4, 1, 0, 0, 1]]),
+    (5, 9, 5, 3, 2, 4, [[4, 0, 0, 1, 0], [4, 4, 0, 0, 1], [0, 0, 1, 0, 0],
+                        [0, 4, 0, 4, 1], [4, 4, 0, 0, 1]]),
 ]
 
 
@@ -294,25 +294,25 @@ class TestCanonicalOrder:
 
     @staticmethod
     def root_cuts(g, p, k):
-        """How many k-dimensional pivot sets a vertex test refuses before any
-        free cell is filled: the test reads only columns that no free cell
-        sets (in W cell (r, j) sets column j, in W-perp column c_r), so it
-        is decided on the pivot rows alone, here by listing their span."""
+        """How many pivot sets of the listed space S (W when 2k <= n, W-perp
+        otherwise) a vertex test refuses before any free cell is filled: the
+        test reads only columns that no free cell sets (cell (r, j) sets
+        column j), so it is decided on the pivot rows alone, here by listing
+        their span. In W, v passes when some vector is nonzero at v and zero
+        outside allowed[v]; in W-perp, when none is nonzero at v and zero on
+        v's out-neighbors."""
         n = g.n
+        dual = 2 * k > n
         cuts = 0
-        for pivots in combinations(range(n), k):
-            cells = [(r, j) for r, c in enumerate(pivots) for j in range(c + 1, n)
-                     if j not in pivots]
-            touched = {pivots[r] for r, _ in cells} if 2 * k > n else {j for _, j in cells}
+        for pivots in combinations(range(n), n - k if dual else k):
+            touched = {j for c in pivots for j in range(c + 1, n) if j not in pivots}
             space = [[coeffs[pivots.index(j)] if j in pivots else 0 for j in range(n)]
-                     for coeffs in product(range(p), repeat=k)]
+                     for coeffs in product(range(p), repeat=len(pivots))]
             for v in range(n):
                 allowed = {v} | {j for j in range(n) if (g.adj[v] >> j) & 1}
-                read = allowed if 2 * k > n else {v} | (set(range(n)) - allowed)
-                if not read & touched and not any(
-                    x[v] and not any(x[j] for j in range(n) if j not in allowed)
-                    for x in space
-                ):
+                zero = allowed - {v} if dual else set(range(n)) - allowed
+                survives = any(x[v] and not any(x[j] for j in zero) for x in space)
+                if not ({v} | zero) & touched and survives == dual:
                     cuts += 1
                     break
         return cuts
@@ -326,6 +326,17 @@ class TestCanonicalOrder:
         assert r.witness == FieldMatrix.from_rows(3, [
             [1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 0, 1], [0, 2, 1, 1, 0, 0],
             [2, 0, 1, 1, 2, 0], [2, 1, 0, 0, 2, 0], [0, 0, 1, 1, 0, 1],
+        ])
+
+    def test_witness_of_w_perp_order(self):
+        # k = 3 > n/2, so the scan lists the 1-dimensional W-perp in its own
+        # echelon form; listing W's pivot sets and filling W-perp row-major
+        # gives another witness, whose last row is [1, 0, 0, 1]
+        g = Digraph(4, (4, 1, 2, 3))
+        r = self.checked(g, 2)
+        assert (r.value, r.lower, r.upper) == (3, 2, 4)
+        assert r.witness == FieldMatrix.from_rows(2, [
+            [1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1],
         ])
 
     def test_every_digraph_gf2(self):
