@@ -31,7 +31,9 @@ class BudgetExceededError(RuntimeError):
 
 DEFAULT_SOLVER_BUDGET = 10_000_000
 DEFAULT_ENUMERATION_BUDGET = 1 << 17
-DEFAULT_VERTEX_BUDGET = 100_000
+# K(14,7,m) has 3,432 vertices; K(16,8,m) has 12,870, and its 1.66e8 int
+# entries take over 1 GB as tuples
+DEFAULT_VERTEX_BUDGET = 5_000
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -7,12 +7,13 @@ intersection sizes, as Python ints.
 
 M = L diag(c_|U|) L^T over the subsets U with |U| <= s-m, with L[A][U] =
 [U ⊆ A]. The c_u are the finite differences of P at 0, so by Newton's
-forward-difference identity P(t) = sum_u c_u C(t, u), and C(|A ∩ B|, u)
-counts the u-subsets U of both A and B. The width rank_bound bounds the rank.
-L is held as one bitset L_a per vertex, and S_u marks the columns of size u.
-Each row of M is checked as it is built, from one count of |A ∩ B| per pair,
-against sum_u c_u * popcount(L_a & L_b & S_u). The parameters fix the vertex
-order, the c_u and rank_bound, so the witness keeps only M and its rank.
+forward-difference identity P(t) = sum_u c_u C(t, u). The entry of
+L diag(c) L^T at (A, B) is sum_u c_u times the number of u-subsets of
+A ∩ B, that is sum_u c_u C(t, u) with t = |A ∩ B|, so the factorization
+holds exactly when sum_u c_u C(t, u) = P(t) for t = 0..s. Those s + 1
+integer identities are checked once per build. The width rank_bound bounds
+the rank. The parameters fix the vertex order, the c_u and rank_bound, so
+the witness keeps only M and its rank.
 
 The exact rank over Q is a closed form. M depends only on |A ∩ B|, so it
 lies in the Bose-Mesner algebra of the Johnson scheme J(d, s): on the j-th
@@ -116,16 +117,16 @@ class KneserWitness:
     """Representation matrix of K(d,s,m) with its verified rank certificates.
 
     matrix holds the integer entries P(|A ∩ B|) in the vertex order
-    subset_masks(d, s). Each row was checked, as it was built, to equal the
-    row of L diag(c_|U|) L^T, L being the inclusion matrix of the vertices
-    against the subsets U with |U| <= s-m, so the rank is at most
-    params.rank_bound, the column count of L. params determines the vertex
-    order, the c = pattern_polynomial_coefficients(s, m) and that bound, so
-    none is stored. With the rank checked, rank is the exact rank over the
-    rationals, read off the Johnson-scheme spectrum and matched by the rank
-    mod CERTIFICATE_PRIME; it is None otherwise. The zero pattern of each
-    row off the diagonal was checked to be the b with |A ∩ B| >= m, so graph()
-    reads K(d,s,m) from that checked pattern.
+    subset_masks(d, s). The identities sum_u c_u C(t, u) = P(t), t = 0..s,
+    were checked, and they make M = L diag(c_|U|) L^T, L being the inclusion
+    matrix of the vertices against the subsets U with |U| <= s-m, so the rank
+    is at most params.rank_bound, the column count of L. params determines
+    the vertex order, the c = pattern_polynomial_coefficients(s, m) and that
+    bound, so none is stored. With the rank checked, rank is the exact rank
+    over the rationals, read off the Johnson-scheme spectrum and matched by
+    the rank mod CERTIFICATE_PRIME; it is None otherwise. The zero pattern of
+    each row off the diagonal was checked to be the b with |A ∩ B| >= m, so
+    graph() reads K(d,s,m) from that checked pattern.
     """
 
     params: KneserParams
@@ -152,31 +153,20 @@ def representation_matrix(
     check_rank: bool = False,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> KneserWitness:
-    """Build the representing matrix, checking each row as it is built.
+    """Build the representing matrix and check it.
 
-    Every row is checked for its diagonal value, for a zero pattern matching
-    the graph, and against the identity M = L diag(c_|U|) L^T. With
-    check_rank, the exact rank is spectral_rank(params), and the rank mod
-    CERTIFICATE_PRIME of the entries must equal it.
+    Every row is checked for its diagonal value and for a zero pattern
+    matching the graph as it is built. Then the s + 1 identities
+    sum_u c_u C(t, u) = P(t), one per intersection size t, prove
+    M = L diag(c_|U|) L^T. With check_rank, the exact rank is
+    spectral_rank(params), and the rank mod CERTIFICATE_PRIME of the entries
+    must equal it.
     """
     d, s, m = params.d, params.s, params.m
     check_budget(params.vertex_count, vertex_budget, f"materializing K({d},{s},{m})")
-    masks = subset_masks(d, s)
-    coeffs = pattern_polynomial_coefficients(s, m)
     poly = [intersection_polynomial(s, m, t) for t in range(s + 1)]
-
-    # columns: subsets of {0..d-1} of size <= s-m, ordered by (size, lex);
-    # bit j of incidence[a] is set iff column j is a subset of vertex a, and
-    # weights pairs c_u with the bitset of the columns of size u
-    columns = [col for size in range(s - m + 1) for col in subset_masks(d, size)]
-    incidence = [
-        sum(1 << j for j, col in enumerate(columns) if not col & ~ma) for ma in masks
-    ]
-    weights = [
-        (c, sum(1 << j for j, col in enumerate(columns) if col.bit_count() == u))
-        for u, c in enumerate(coeffs)
-    ]
-    entries = _build_rows(params, masks, poly, incidence, weights)
+    entries = _build_rows(params, subset_masks(d, s), poly)
+    _check_factorization(pattern_polynomial_coefficients(s, m), poly)
 
     rank = None
     if check_rank:
@@ -193,21 +183,17 @@ def representation_matrix(
     return KneserWitness(params=params, matrix=RationalMatrix(entries), rank=rank)
 
 
-def _build_rows(params, masks, poly, incidence, weights) -> tuple[tuple[int, ...], ...]:
+def _build_rows(params, masks, poly) -> tuple[tuple[int, ...], ...]:
     """The rows poly[|A ∩ B|] of M, each checked as it is built.
 
-    Row a must hold (s-m)! on the diagonal, a zero exactly at the b != a with
-    |A ∩ B| >= m, and at every b the entry sum_u c_u * popcount(L_a & L_b & S_u)
-    of L diag(c) L^T, for the incidence bitsets L_a and the weights (c_u, S_u).
+    Row a must hold (s-m)! on the diagonal and a zero exactly at the b != a
+    with |A ∩ B| >= m. That every entry is the entry of L diag(c) L^T is
+    left to _check_factorization, since both depend on t = |A ∩ B| alone.
     """
-    if len(incidence) != len(masks):
-        raise VerificationError(
-            f"factorization: {len(incidence)} incidence bitsets for {len(masks)} vertices"
-        )
     m = params.m
     diag = math.factorial(params.s - m)
     rows = []
-    for a, (ma, la) in enumerate(zip(masks, incidence)):
+    for a, ma in enumerate(masks):
         counts = [(ma & mb).bit_count() for mb in masks]
         row = tuple(poly[t] for t in counts)
         if row[a] != diag:
@@ -219,17 +205,19 @@ def _build_rows(params, masks, poly, incidence, weights) -> tuple[tuple[int, ...
             raise VerificationError(
                 f"zero pattern mismatch at pair ({a},{b}), intersection {counts[b]}"
             )
-        product = [0] * len(incidence)
-        for c, size_bits in weights:
-            la_u = la & size_bits
-            product = [
-                acc + c * (la_u & lb).bit_count() for acc, lb in zip(product, incidence)
-            ]
-        if product != list(row):
-            b = next(b for b, x in enumerate(row) if product[b] != x)
-            raise VerificationError(f"factorization mismatch at pair ({a},{b})")
         rows.append(row)
     return tuple(rows)
+
+
+def _check_factorization(coeffs: list[int], poly: list[int]) -> None:
+    """Check sum_u c_u C(t, u) = poly[t] for every t = 0..s.
+
+    The left side is the entry of L diag(c_|U|) L^T at any pair with
+    |A ∩ B| = t, since C(t, u) of the u-subsets U lie in both A and B.
+    """
+    for t, value in enumerate(poly):
+        if sum(c * math.comb(t, u) for u, c in enumerate(coeffs)) != value:
+            raise VerificationError(f"factorization mismatch at t={t}")
 
 
 def odd_girth_guarantee(d: int, m: int, ell: int) -> bool:

@@ -256,6 +256,28 @@ def oracle_kneser_graph(params) -> Graph:
     return Graph(len(masks), tuple(rows))
 
 
+def oracle_factorization_product(params) -> tuple[tuple[int, ...], ...]:
+    """L diag(c_|U|) L^T entry by entry, over the s-subsets in lexicographic
+    order: L[A][U] = [U ⊆ A] for the subsets U with |U| <= s-m, held as one
+    bitset per vertex, and each entry sum_u c_u * popcount(L_A & L_B & S_u),
+    S_u marking the columns of size u."""
+    from minranklab.kneser import pattern_polynomial_coefficients
+
+    d, s, m = params.d, params.s, params.m
+    masks = [sum(1 << i for i in combo) for combo in combinations(range(d), s)]
+    columns = [sum(1 << i for i in combo)
+               for size in range(s - m + 1) for combo in combinations(range(d), size)]
+    incidence = [sum(1 << j for j, col in enumerate(columns) if not col & ~ma)
+                 for ma in masks]
+    weights = [(c, sum(1 << j for j, col in enumerate(columns) if col.bit_count() == u))
+               for u, c in enumerate(pattern_polynomial_coefficients(s, m))]
+    return tuple(
+        tuple(sum(c * (la & lb & size_bits).bit_count() for c, size_bits in weights)
+              for lb in incidence)
+        for la in incidence
+    )
+
+
 def oracle_johnson_spectrum(d: int, s: int, m: int) -> list[tuple[int, int]]:
     """(eigenvalue, multiplicity) on each eigenspace V_j, j = 0..min(s, d-s),
     of the matrix P(|A ∩ B|) over the s-subsets, P(t) = prod_{j=m}^{s-1} (t - j).

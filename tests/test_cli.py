@@ -72,7 +72,7 @@ K631_BUILD_STDOUT = """\
       "emit_matrix": "FILE",
       "m": 1,
       "s": 3,
-      "vertex_budget": 100000
+      "vertex_budget": 5000
     },
     "seed": null,
     "started_at": "T",
@@ -400,7 +400,7 @@ class TestKneserCommand:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert captured.err == "internal error: factorization mismatch at pair (0,0)\n"
+        assert captured.err == "internal error: factorization mismatch at t=0\n"
 
     def test_plan(self, capsys):
         code, out = run_cli(["kneser", "plan", "--ell", "3", "--n", "20"], capsys)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minranklab import kneser
-from minranklab.budgets import BudgetExceededError
+from minranklab.budgets import DEFAULT_VERTEX_BUDGET, BudgetExceededError
 from minranklab.graphs import (
     canonical_key,
     complete_graph,
@@ -33,6 +33,7 @@ from minranklab.matrices import mod_rank
 from minranklab.minrank import represents
 
 from _oracles import (
+    oracle_factorization_product,
     oracle_fraction_rank,
     oracle_johnson_spectrum,
     oracle_kneser_graph,
@@ -79,6 +80,16 @@ class TestGraph:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             representation_matrix(KneserParams(30, 15, 1))
+
+    def test_default_budget_refuses_k_16_8_before_allocating(self, monkeypatch):
+        # 12,870 vertices: the 1.66e8 entries would take over 1 GB
+        def allocate(d, s):
+            raise AssertionError("vertices listed before the budget check")
+
+        monkeypatch.setattr(kneser, "subset_masks", allocate)
+        with pytest.raises(BudgetExceededError, match="materializing K\\(16,8,2\\) refused"):
+            representation_matrix(KneserParams(16, 8, 2))
+        assert KneserParams(14, 7, 2).vertex_count <= DEFAULT_VERTEX_BUDGET
 
     def test_witness_graph_is_the_reference_graph(self):
         for d in range(0, 9):
@@ -166,6 +177,14 @@ class TestRepresentation:
                 for j in range(m, s):
                     direct *= dot - j
                 assert w.matrix.entries[a][b] == direct
+
+    def test_entries_equal_the_popcount_product_oracle(self):
+        for d in range(0, 10):
+            for s in range(0, d + 1):
+                for m in range(0, s + 1):
+                    params = KneserParams(d, s, m)
+                    assert representation_matrix(params).matrix.entries == \
+                        oracle_factorization_product(params)
 
     def test_factorization_shape_and_product(self):
         # L is the vertex-by-subset inclusion matrix over the subsets U with
@@ -301,20 +320,21 @@ class TestWitnessChecks:
         with pytest.raises(VerificationError, match="^bad diagonal at 0$"):
             representation_matrix(KneserParams(6, 3, 1))
 
-    def test_row_check_rejects_a_wrong_incidence_or_weight(self):
-        # K(2,1,0): vertices {0}, {1}; columns (), {0}, {1}; P(t) = t = C(t, 1)
-        params = KneserParams(2, 1, 0)
-        masks = [0b01, 0b10]
-        poly = [0, 1]
-        incidence = [0b011, 0b101]
-        weights = [(0, 0b001), (1, 0b110)]
-        assert kneser._build_rows(params, masks, poly, incidence, weights) == ((1, 0), (0, 1))
-        with pytest.raises(VerificationError, match=r"^factorization mismatch at pair \(0,0\)"):
-            kneser._build_rows(params, masks, poly, [0b001, 0b101], weights)
-        with pytest.raises(VerificationError, match=r"^factorization mismatch at pair \(0,0\)"):
-            kneser._build_rows(params, masks, poly, incidence, [(1, 0b001), (1, 0b110)])
-        with pytest.raises(VerificationError, match="incidence bitsets for 2 vertices"):
-            kneser._build_rows(params, masks, poly, incidence[:1], weights)
+    def test_identity_check_rejects_one_wrong_coefficient_or_value(self):
+        # sum_u c_u C(t, u) first changes at t = u when c_u moves, and at t
+        # alone when P(t) moves; t runs past s-m up to s
+        for s, m in [(1, 0), (3, 1), (4, 2), (5, 0)]:
+            coeffs = pattern_polynomial_coefficients(s, m)
+            poly = [intersection_polynomial(s, m, t) for t in range(s + 1)]
+            kneser._check_factorization(coeffs, poly)
+            for u in range(len(coeffs)):
+                wrong = coeffs[:u] + [coeffs[u] + 1] + coeffs[u + 1:]
+                with pytest.raises(VerificationError, match=f"^factorization mismatch at t={u}$"):
+                    kneser._check_factorization(wrong, poly)
+            for t in range(s + 1):
+                wrong = poly[:t] + [poly[t] - 1] + poly[t + 1:]
+                with pytest.raises(VerificationError, match=f"^factorization mismatch at t={t}$"):
+                    kneser._check_factorization(coeffs, wrong)
 
     def test_rank_outside_the_certificate_fails(self, monkeypatch):
         # K(6,3,1) has rank 10; a computed rank on either side of it is a lie
