@@ -11,7 +11,9 @@ forward-difference identity P(t) = sum_u c_u C(t, u). The entry of
 L diag(c) L^T at (A, B) is sum_u c_u times the number of u-subsets of
 A ∩ B, that is sum_u c_u C(t, u) with t = |A ∩ B|, so the factorization
 holds exactly when sum_u c_u C(t, u) = P(t) for t = 0..s. Those s + 1
-integer identities are checked once per build. The width rank_bound bounds
+integer identities are checked once per build, as are the diagonal value
+P(s) = (s-m)! and the zero pattern: for t < s, P(t) = 0 exactly when
+t >= m, at the non-edges. The width rank_bound bounds
 the rank. The parameters fix the vertex order, the c_u and rank_bound, so
 the witness keeps only M and its rank.
 
@@ -124,9 +126,9 @@ class KneserWitness:
     the vertex order, the c = pattern_polynomial_coefficients(s, m) and that
     bound, so none is stored. With the rank checked, rank is the exact rank
     over the rationals, read off the Johnson-scheme spectrum and matched by
-    the rank mod CERTIFICATE_PRIME; it is None otherwise. The zero pattern of
-    each row off the diagonal was checked to be the b with |A ∩ B| >= m, so
-    graph() reads K(d,s,m) from that checked pattern.
+    the rank mod CERTIFICATE_PRIME; it is None otherwise. P was checked to
+    vanish at t < s exactly when t >= m, so off the diagonal the zero pattern
+    of row A is the b with |A ∩ B| >= m, and graph() reads K(d,s,m) from it.
     """
 
     params: KneserParams
@@ -155,18 +157,20 @@ def representation_matrix(
 ) -> KneserWitness:
     """Build the representing matrix and check it.
 
-    Every row is checked for its diagonal value and for a zero pattern
-    matching the graph as it is built. Then the s + 1 identities
-    sum_u c_u C(t, u) = P(t), one per intersection size t, prove
-    M = L diag(c_|U|) L^T. With check_rank, the exact rank is
-    spectral_rank(params), and the rank mod CERTIFICATE_PRIME of the entries
-    must equal it.
+    Every entry is P(t) at t = |A ∩ B|, so the checks run once per t before
+    any row is built: P(s) is the diagonal (s-m)!, P(t) for t < s is zero
+    exactly at the non-edges t >= m, and the s + 1 identities
+    sum_u c_u C(t, u) = P(t) prove M = L diag(c_|U|) L^T. With check_rank,
+    the exact rank is spectral_rank(params), and the rank mod
+    CERTIFICATE_PRIME of the entries must equal it.
     """
     d, s, m = params.d, params.s, params.m
     check_budget(params.vertex_count, vertex_budget, f"materializing K({d},{s},{m})")
     poly = [intersection_polynomial(s, m, t) for t in range(s + 1)]
-    entries = _build_rows(params, subset_masks(d, s), poly)
+    _check_values(poly, m)
     _check_factorization(pattern_polynomial_coefficients(s, m), poly)
+    masks = subset_masks(d, s)
+    entries = tuple(tuple([poly[(a & b).bit_count()] for b in masks]) for a in masks)
 
     rank = None
     if check_rank:
@@ -183,30 +187,20 @@ def representation_matrix(
     return KneserWitness(params=params, matrix=RationalMatrix(entries), rank=rank)
 
 
-def _build_rows(params, masks, poly) -> tuple[tuple[int, ...], ...]:
-    """The rows poly[|A ∩ B|] of M, each checked as it is built.
+def _check_values(poly: list[int], m: int) -> None:
+    """Check the values the entries poly[|A ∩ B|] of M take.
 
-    Row a must hold (s-m)! on the diagonal and a zero exactly at the b != a
-    with |A ∩ B| >= m. That every entry is the entry of L diag(c) L^T is
-    left to _check_factorization, since both depend on t = |A ∩ B| alone.
+    The diagonal, where t = s, must hold (s-m)!. Off it t < s, and the entry
+    must be zero exactly when t >= m, at the non-edges of K(d,s,m). Both
+    depend on t alone, so one check per t covers every pair.
     """
-    m = params.m
-    diag = math.factorial(params.s - m)
-    rows = []
-    for a, ma in enumerate(masks):
-        counts = [(ma & mb).bit_count() for mb in masks]
-        row = tuple(poly[t] for t in counts)
-        if row[a] != diag:
-            raise VerificationError(f"bad diagonal at {a}")
-        non_edges = [t >= m for t in counts]
-        non_edges[a] = False
-        if [x == 0 for x in row] != non_edges:
-            b = next(b for b, x in enumerate(row) if (x == 0) != non_edges[b])
-            raise VerificationError(
-                f"zero pattern mismatch at pair ({a},{b}), intersection {counts[b]}"
-            )
-        rows.append(row)
-    return tuple(rows)
+    s = len(poly) - 1
+    diag = math.factorial(s - m)
+    if poly[s] != diag:
+        raise VerificationError(f"bad diagonal: P({s}) = {poly[s]}, need {diag}")
+    for t in range(s):
+        if (poly[t] == 0) != (t >= m):
+            raise VerificationError(f"zero pattern mismatch at t={t}")
 
 
 def _check_factorization(coeffs: list[int], poly: list[int]) -> None:

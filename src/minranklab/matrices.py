@@ -1,11 +1,17 @@
 """Exact dense matrices over prime fields GF(p) and over the rationals.
 
-Every elimination over GF(p), bar the bitset `gf2_rank` for p = 2, runs on
-`_echelon_residue`, which reduces a vector mod p against a semi-echelon
-basis: rank counts the rows that leave a residue, the nullspace is read off
-the back-substituted basis, and the sparse-basis search enumerates vector
-subsets in lexicographic order with weight pruning, carrying the basis of
-the chosen vectors down the search.
+Eliminations over GF(p), bar the bitset `gf2_rank` for p = 2, reduce each
+row against a semi-echelon basis, and rank counts the rows that leave a
+residue. A row takes one of two forms, chosen by its length alone. A list of
+residues, reduced entry by entry in `_echelon_residue`, serves rows shorter
+than PACKED_MIN_COLUMNS, the nullspace and the sparse-basis search. A row of
+PACKED_MIN_COLUMNS or more entries is packed into one Python int with a
+fixed-width slot per column, so `mod_rank` reduces it by one big-int
+multiply-add per basis row, with no per-entry reduction until it is unpacked
+(`_packed_rank`). The nullspace is read off the back-substituted basis, and
+the sparse-basis search enumerates vector subsets in lexicographic order
+with weight pruning, carrying the basis of the chosen vectors down the
+search. `_echelon_residue` is the one place that inverts mod p.
 A rational matrix only holds exact entries (the Kneser witness, the
 modulus-0 text format); no rank is computed over the rationals here.
 """
@@ -74,14 +80,60 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return rank
 
 
+# Rows at least this long are reduced packed; on shorter rows the passes that
+# pack and unpack a row outweigh what the big-int row steps save. On random
+# dense n x n matrices the list/packed time ratio was 0.6, 0.8, 0.9 and 1.4
+# at n = 16 over GF(2), GF(3), GF(5) and GF(2^31 - 1), and 1.0-1.1, 1.3-1.6,
+# 1.0 and 2.1-2.7 at n = 32.
+PACKED_MIN_COLUMNS = 32
+
+
 def mod_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p): the number of rows that leave a residue."""
+    """Rank over GF(p): the number of rows that leave a residue. Rows of
+    PACKED_MIN_COLUMNS entries or more are reduced by _packed_rank."""
+    if rows and len(rows[0]) >= PACKED_MIN_COLUMNS:
+        return _packed_rank(rows, p)
     basis: list = []
     for row in rows:
         residue = _echelon_residue(row, basis, p)
         if residue is not None:
             basis.append(residue)
     return len(basis)
+
+
+def _packed_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    """mod_rank with each row packed into one int, k little-endian bytes per
+    column, so one row step is one big-int v += (p - f) * r.
+
+    A basis row holds residues in [0, p), 1 at its pivot, and a vector starts
+    reduced, so a slot grows by at most (p-1)^2 per basis row, of which there
+    are at most n: k bytes hold (p-1) + n(p-1)^2 and no slot carries into the
+    next. A reduced vector is unpacked once; _echelon_residue against an
+    empty basis finds its pivot and scales it to 1, or shows it is zero mod p.
+    """
+    n = len(rows[0])
+    k = ((p - 1) + n * (p - 1) ** 2).bit_length() + 7 >> 3
+    mask = (1 << 8 * k) - 1
+    basis: list = []  # (bit offset of the pivot slot, packed row)
+    for row in rows:
+        v = _pack(row, k, p)
+        for shift, r in basis:
+            f = (v >> shift & mask) % p
+            if f:
+                v += (p - f) * r
+        slots = v.to_bytes(n * k, "little")
+        residue = _echelon_residue(
+            [int.from_bytes(slots[i:i + k], "little") for i in range(0, n * k, k)], [], p
+        )
+        if residue is not None:
+            pivot, scaled = residue
+            basis.append((8 * k * pivot, _pack(scaled, k, p)))
+    return len(basis)
+
+
+def _pack(row: Sequence[int], k: int, p: int) -> int:
+    """The residues of row mod p, one k-byte slot each, column 0 lowest."""
+    return int.from_bytes(b"".join((x % p).to_bytes(k, "little") for x in row), "little")
 
 
 def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:

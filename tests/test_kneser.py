@@ -282,6 +282,11 @@ class TestRankCertificate:
         w = representation_matrix(KneserParams(10, 5, 2))
         assert (w.rank, calls) == (None, [CERTIFICATE_PRIME] * 2)
 
+    def test_rank_check_at_d_12(self):
+        # 924 rows of 924 columns: mod_rank reduces them packed
+        w = representation_matrix(KneserParams(12, 6, 2), check_rank=True)
+        assert w.rank == 495 == spectral_rank(w.params)
+
     def test_no_rank_without_check(self):
         w = representation_matrix(KneserParams(6, 3, 2))
         assert w.rank is None
@@ -308,7 +313,7 @@ class TestWitnessChecks:
             return 0 if t == 0 else intersection_polynomial(s, m, t)
 
         monkeypatch.setattr(kneser, "intersection_polynomial", corrupt)
-        with pytest.raises(VerificationError, match="zero pattern mismatch"):
+        with pytest.raises(VerificationError, match="^zero pattern mismatch at t=0$"):
             representation_matrix(KneserParams(6, 3, 1))
 
     def test_wrong_diagonal_fails(self, monkeypatch):
@@ -317,7 +322,7 @@ class TestWitnessChecks:
             return 3 if t == s else intersection_polynomial(s, m, t)
 
         monkeypatch.setattr(kneser, "intersection_polynomial", corrupt)
-        with pytest.raises(VerificationError, match="^bad diagonal at 0$"):
+        with pytest.raises(VerificationError, match=r"^bad diagonal: P\(3\) = 3, need 2$"):
             representation_matrix(KneserParams(6, 3, 1))
 
     def test_identity_check_rejects_one_wrong_coefficient_or_value(self):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minranklab.kneser import CERTIFICATE_PRIME
 from minranklab.matrices import (
+    PACKED_MIN_COLUMNS,
     FieldMatrix,
     RationalMatrix,
     format_matrix_text,
@@ -162,6 +164,26 @@ def test_mod_rank_and_nullspace_match_brute_force(case):
     }
     assert span == kernel
     assert len(kernel) == p ** (ncols - rank)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mod_rank_matches_brute_force_across_the_packed_switch(data):
+    # widths on both sides of PACKED_MIN_COLUMNS; entries unreduced, negative
+    # or multiples of p; each combination row lies in the span of the drawn
+    # rows, so its packed residue is zero only once its slots are read mod p
+    p = data.draw(st.sampled_from([2, 3, 5, 7, CERTIFICATE_PRIME]))
+    ncols = data.draw(st.integers(1, 2 * PACKED_MIN_COLUMNS))
+    entry = st.integers(-2 * p, 2 * p) | st.sampled_from([-p, 0, p, 2 * p])
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=40))
+    combos = data.draw(st.lists(
+        st.lists(st.integers(-p, p), min_size=len(rows), max_size=len(rows)),
+        max_size=4 if rows else 0,
+    ))
+    rows += [[sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+             for coeffs in combos]
+    rows = data.draw(st.permutations(rows))
+    assert mod_rank(rows, p) == _plain_mod_rank(rows, p)
 
 
 class TestSparsity:
