@@ -28,6 +28,7 @@ from . import __version__
 from .budgets import (
     BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
+    DEFAULT_RANK_BUDGET,
     DEFAULT_SOLVER_BUDGET,
     DEFAULT_VERTEX_BUDGET,
 )
@@ -166,7 +167,10 @@ def _run_kneser_build(args):
     if args.check_odd_girth is not None:
         check_odd_length(args.check_odd_girth)
     witness = representation_matrix(
-        params, check_rank=args.check_rank, vertex_budget=args.vertex_budget
+        params,
+        check_rank=args.check_rank,
+        vertex_budget=args.vertex_budget,
+        rank_budget=args.rank_budget,
     )
     graph = witness.graph()
     result = {
@@ -371,6 +375,7 @@ def _build_parser() -> _Parser:
     p_build.add_argument("--check-odd-girth", type=int, metavar="L")
     p_build.add_argument("--emit-matrix", metavar="PATH")
     p_build.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+    p_build.add_argument("--rank-budget", type=int, default=DEFAULT_RANK_BUDGET)
     p_build.add_argument("--out")
     p_build.set_defaults(handler=_run_kneser_build, style="single")
     p_plan = kn_sub.add_parser("plan")

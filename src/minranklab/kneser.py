@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Optional
 
-from .budgets import DEFAULT_VERTEX_BUDGET, check_budget
+from .budgets import DEFAULT_RANK_BUDGET, DEFAULT_VERTEX_BUDGET, check_budget
 from .graphs import Graph, check_odd_length
 from .matrices import RationalMatrix, mod_rank
 
@@ -154,6 +154,7 @@ def representation_matrix(
     params: KneserParams,
     check_rank: bool = False,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    rank_budget: int = DEFAULT_RANK_BUDGET,
 ) -> KneserWitness:
     """Build the representing matrix and check it.
 
@@ -162,19 +163,23 @@ def representation_matrix(
     exactly at the non-edges t >= m, and the s + 1 identities
     sum_u c_u C(t, u) = P(t) prove M = L diag(c_|U|) L^T. With check_rank,
     the exact rank is spectral_rank(params), and the rank mod
-    CERTIFICATE_PRIME of the entries must equal it.
+    CERTIFICATE_PRIME of the entries must equal it. That elimination meets
+    each of the N rows with up to rank basis rows of N entries, so it is
+    budgeted at N^2 * rank before any entry is built.
     """
     d, s, m = params.d, params.s, params.m
-    check_budget(params.vertex_count, vertex_budget, f"materializing K({d},{s},{m})")
+    n = params.vertex_count
+    check_budget(n, vertex_budget, f"materializing K({d},{s},{m})")
+    rank = spectral_rank(params) if check_rank else None
+    if rank is not None:
+        check_budget(n * n * rank, rank_budget, f"rank check of K({d},{s},{m})")
     poly = [intersection_polynomial(s, m, t) for t in range(s + 1)]
     _check_values(poly, m)
     _check_factorization(pattern_polynomial_coefficients(s, m), poly)
     masks = subset_masks(d, s)
     entries = tuple(tuple([poly[(a & b).bit_count()] for b in masks]) for a in masks)
 
-    rank = None
-    if check_rank:
-        rank = spectral_rank(params)
+    if rank is not None:
         computed = mod_rank(entries, CERTIFICATE_PRIME)
         if computed != rank:
             raise VerificationError(

@@ -24,7 +24,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby, islice, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    groupby,
+    islice,
+    permutations,
+    product,
+)
 from math import comb, factorial, prod
 from typing import Optional
 
@@ -39,6 +46,7 @@ from .graphs import (
     complement,
     complete_multipartite,
     contains_subgraph,
+    empty_graph,
     is_tree,
     sample_digraph,
     underlying_graph,
@@ -318,13 +326,21 @@ def exhaustive_g(
 ) -> ExhaustiveExtremal:
     """Maximum exact minrank over all n-vertex graphs with H-free complement.
 
-    For each edge mask the sweep builds only the complement, tests it for H
-    and keys it by `canonical_key`; complementing preserves isomorphism, so
-    the keys are the accepted graphs' isomorphism classes at every n. Minrank
-    is isomorphism-invariant, so the solver runs once per class, on its
-    smallest edge mask, and the witness is the accepted graph of smallest
-    edge mask attaining the maximum. `accepted` counts labeled graphs,
-    `evaluated` classes.
+    The sweep grows the complements one vertex at a time, one isomorphism
+    class at a time. Deleting a vertex keeps a complement H-free, so every
+    H-free complement on v + 1 vertices is one on v vertices plus a vertex v
+    joined to some S of 0..v-1. Starting from the empty graph, each class
+    representative is extended by every S; `contains_subgraph` drops the
+    extensions that contain H, and `canonical_key` sorts the rest into
+    classes. For a fixed class the number of S giving a child of a given
+    class is the same under every labeling of the parent, so the child's
+    labeled count is the sum of its parents' counts times those numbers.
+    Complementing preserves isomorphism and minrank is isomorphism-invariant,
+    so the solver runs once per class, on the complement of its
+    representative. The witness is the accepted graph of smallest edge mask
+    attaining the maximum: the least edge mask over the n! relabelings of
+    each maximizing class. `graphs_checked` is the 2^C(n,2) labeled graphs,
+    `accepted` counts labeled graphs, `evaluated` classes.
 
     `dedup` stays only so that `dedup=True` calls keep working; `dedup=False`
     asked for the removed solve-every-graph path and is refused.
@@ -337,30 +353,49 @@ def exhaustive_g(
         raise ValueError("vertex count must be nonnegative")
     total = 1 << (n * (n - 1) // 2)
     check_budget(total, graph_budget, f"graph sweep at n={n}")
-    full = total - 1
-    reps: dict[tuple, int] = {}
-    accepted = 0
-    for mask in range(total):
-        comp = Graph.from_edge_mask(n, full ^ mask)
-        if contains_subgraph(comp, h_graph):
-            continue
-        accepted += 1
-        reps.setdefault(canonical_key(comp), mask)
-    if not reps:
+    if h_graph.n == 0:
+        raise ValueError("pattern graph needs at least one vertex")
+    start = empty_graph(0)
+    # canonical key -> [complement representative, labeled count]
+    classes: dict[tuple, list] = {canonical_key(start): [start, 1]}
+    for v in range(n):
+        grown: dict[tuple, list] = {}
+        for comp, count in classes.values():
+            for s in range(1 << v):
+                rows = tuple(row | (s >> u & 1) << v for u, row in enumerate(comp.adj))
+                child = Graph(v + 1, rows + (s,))
+                if contains_subgraph(child, h_graph):
+                    continue
+                grown.setdefault(canonical_key(child), [child, 0])[1] += count
+        classes = grown
+    if not classes:
         raise ValueError("no graph on n vertices has an H-free complement")
-    best_value = -1
-    for mask in reps.values():
-        g = Graph.from_edge_mask(n, mask)
+    best_value, best = -1, []
+    for comp, _ in classes.values():
+        g = complement(comp)
         value = minrank_exact(g, p, work_budget).value
         if value > best_value:
-            best_value = value
-            best_graph = g
+            best_value, best = value, []
+        if value == best_value:
+            best.append(g)
     return ExhaustiveExtremal(
         value=best_value,
-        witness=best_graph,
+        witness=Graph.from_edge_mask(n, min(map(_least_edge_mask, best))),
         graphs_checked=total,
-        accepted=accepted,
-        evaluated=len(reps),
+        accepted=sum(count for _, count in classes.values()),
+        evaluated=len(classes),
+    )
+
+
+def _least_edge_mask(g: Graph) -> int:
+    """The smallest edge mask, over the pairs in lexicographic order, of the
+    n! relabelings of g."""
+    bit = [[0] * g.n for _ in range(g.n)]
+    for i, (a, b) in enumerate(combinations(range(g.n), 2)):
+        bit[a][b] = bit[b][a] = 1 << i
+    edges = g.edges()
+    return min(
+        sum(bit[order[u]][order[v]] for u, v in edges) for order in permutations(range(g.n))
     )
 
 

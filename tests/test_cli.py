@@ -71,6 +71,7 @@ K631_BUILD_STDOUT = """\
       "d": 6,
       "emit_matrix": "FILE",
       "m": 1,
+      "rank_budget": 1000000000,
       "s": 3,
       "vertex_budget": 5000
     },
@@ -401,6 +402,33 @@ class TestKneserCommand:
         assert code == 4
         assert captured.out == ""
         assert captured.err == "internal error: factorization mismatch at t=0\n"
+
+    @pytest.mark.parametrize("d, s, argv, estimate, budget", [
+        (14, 7, [], 3432**2 * 2002, 10**9),  # N^2 * rank
+        (10, 5, ["--rank-budget", "100"], 252**2 * 120, 100),
+    ])
+    def test_rank_check_over_budget_refused_before_the_build(
+        self, capsys, monkeypatch, d, s, argv, estimate, budget
+    ):
+        # no vertex is listed and no entry built
+        def refuse(*args):
+            raise AssertionError("vertices listed before the rank budget check")
+
+        monkeypatch.setattr(kneser, "subset_masks", refuse)
+        code = main(["kneser", "build", "--d", str(d), "--s", str(s), "--m", "2",
+                     "--check-rank"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"budget refusal: rank check of K({d},{s},2) refused "
+            f"(estimated work {estimate}, budget {budget})\n"
+        )
+
+    def test_rank_budget_only_budgets_the_rank_check(self, capsys):
+        code, _ = run_cli(
+            ["kneser", "build", "--d", "10", "--s", "5", "--m", "2", "--rank-budget", "0"], capsys
+        )
+        assert code == 0
 
     def test_plan(self, capsys):
         code, out = run_cli(["kneser", "plan", "--ell", "3", "--n", "20"], capsys)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minranklab import kneser
-from minranklab.budgets import DEFAULT_VERTEX_BUDGET, BudgetExceededError
+from minranklab.budgets import DEFAULT_RANK_BUDGET, DEFAULT_VERTEX_BUDGET, BudgetExceededError
 from minranklab.graphs import (
     canonical_key,
     complete_graph,
@@ -90,6 +90,16 @@ class TestGraph:
         with pytest.raises(BudgetExceededError, match="materializing K\\(16,8,2\\) refused"):
             representation_matrix(KneserParams(16, 8, 2))
         assert KneserParams(14, 7, 2).vertex_count <= DEFAULT_VERTEX_BUDGET
+
+    def test_default_rank_budget_refuses_k_14_7_2_before_allocating(self, monkeypatch):
+        # N^2 * rank = 3432^2 * 2002; K(12,6,2), at 924^2 * 495, is admitted
+        def allocate(d, s):
+            raise AssertionError("vertices listed before the budget check")
+
+        monkeypatch.setattr(kneser, "subset_masks", allocate)
+        with pytest.raises(BudgetExceededError, match="rank check of K\\(14,7,2\\) refused"):
+            representation_matrix(KneserParams(14, 7, 2), check_rank=True)
+        assert 924**2 * 495 <= DEFAULT_RANK_BUDGET < 3432**2 * 2002
 
     def test_witness_graph_is_the_reference_graph(self):
         for d in range(0, 9):

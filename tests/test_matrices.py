@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minranklab import matrices
 from minranklab.kneser import CERTIFICATE_PRIME
 from minranklab.matrices import (
     PACKED_MIN_COLUMNS,
@@ -18,6 +19,7 @@ from minranklab.matrices import (
     min_basis_weight,
     mod_nullspace,
     mod_rank,
+    _echelon_residue,
     parse_matrix_text,
     sparsity,
 )
@@ -184,6 +186,46 @@ def test_mod_rank_matches_brute_force_across_the_packed_switch(data):
              for coeffs in combos]
     rows = data.draw(st.permutations(rows))
     assert mod_rank(rows, p) == _plain_mod_rank(rows, p)
+
+
+def _sparse_or_dense_rows(n: int, p: int, kind: str, seed: int) -> list[list[int]]:
+    """n rows of n entries. "two": at most two nonzeros per row, on the first
+    n // 3 columns so that many rows are dependent; "three": the same with a
+    third nonzero in the last row; "dense": every entry drawn. Nonzeros are
+    drawn from [1, 3p), so some are multiples of p."""
+    rng = random.Random(seed)
+    if kind == "dense":
+        return [[rng.randrange(-p, 3 * p) for _ in range(n)] for _ in range(n)]
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        width = 3 if kind == "three" and i == n - 1 else rng.randint(1, 2)
+        for j in rng.sample(range(n // 3), width):
+            row[j] = rng.randrange(1, 3 * p)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, CERTIFICATE_PRIME])
+@pytest.mark.parametrize("n", [PACKED_MIN_COLUMNS, 2 * PACKED_MIN_COLUMNS])
+@pytest.mark.parametrize("kind, packed", [("two", False), ("three", True), ("dense", True)])
+def test_mod_rank_routes_long_rows_by_nonzeros(p, n, kind, packed, monkeypatch):
+    # long rows go packed unless no row has more than two nonzeros; either
+    # way the rank is the number of rows _echelon_residue leaves a residue for
+    routed = []
+    packed_rank = matrices._packed_rank
+    monkeypatch.setattr(
+        matrices, "_packed_rank", lambda rows, q: routed.append(q) or packed_rank(rows, q)
+    )
+    for seed in range(3):
+        rows = _sparse_or_dense_rows(n, p, kind, seed)
+        basis: list = []
+        for row in rows:
+            residue = _echelon_residue(row, basis, p)
+            if residue is not None:
+                basis.append(residue)
+        assert mod_rank(rows, p) == len(basis)
+    assert routed == ([p] * 3 if packed else [])
 
 
 class TestSparsity:

@@ -2,8 +2,9 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import networkx as nx
 import pytest
 
 from minranklab import verifiers
@@ -451,7 +452,7 @@ class TestExhaustive:
         assert exhaustive_g(5, complete_graph(3), 2).value == 3
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("pattern", ["K3", "P3", "star3"])
+    @pytest.mark.parametrize("pattern", ["K3", "P3", "star3", "C4", "P4"])
     def test_matches_networkx_oracle(self, n, pattern, monkeypatch):
         h = named_graph(pattern)
         classes = oracle_extremal(n, h)
@@ -464,7 +465,7 @@ class TestExhaustive:
         solve = verifiers.minrank_exact
 
         def counted(g, p, work_budget):
-            solved.append(g.edge_mask())
+            solved.append(g)
             return solve(g, p, work_budget)
 
         monkeypatch.setattr(verifiers, "minrank_exact", counted)
@@ -472,8 +473,33 @@ class TestExhaustive:
         assert (result.accepted, result.evaluated) == (len(accepted), len(classes))
         assert result.value == best
         assert result.witness.edge_mask() == min(m for m in accepted if values[m] == best)
-        # one solve per class, on the class's smallest mask, in mask order
-        assert solved == [masks[0] for masks in classes]
+        # exactly one solve per networkx class
+        assert len(solved) == len(classes)
+        as_nx = []
+        for g in solved:
+            as_nx.append(nx.empty_graph(g.n))
+            as_nx[-1].add_edges_from(g.edges())
+        assert not any(nx.is_isomorphic(a, b) for a, b in combinations(as_nx, 2))
+
+    def test_work_counters_at_six(self, monkeypatch):
+        calls = {"contains_subgraph": 0, "canonical_key": 0}
+        for name in calls:
+            original = getattr(verifiers, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(verifiers, name, counted)
+        exhaustive_g(6, complete_graph(3), 2)
+        # one containment test per (class at v - 1, back-neighbourhood), one
+        # key per survivor and one for the empty start graph
+        assert calls == {"contains_subgraph": 595, "canonical_key": 336}
+
+    def test_triangle_table(self):
+        results = [exhaustive_g(n, complete_graph(3), 2) for n in range(1, 7)]
+        table = [(r.accepted, r.evaluated) for r in results]
+        assert table == [(1, 1), (2, 2), (7, 3), (41, 7), (388, 14), (5789, 38)]
 
     def test_dedup_false_refused(self):
         with pytest.raises(ValueError, match="always deduplicates"):
