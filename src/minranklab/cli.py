@@ -51,6 +51,7 @@ from .graphio import (
 )
 from .kneser import (
     KneserParams,
+    intersection_polynomial,
     odd_girth_guarantee,
     pattern_polynomial_coefficients,
     rank_bound_report,
@@ -181,7 +182,7 @@ def _run_kneser_build(args):
         "edge_count": graph.edge_count(),
         "rank_bound": params.rank_bound,
         "coefficients": pattern_polynomial_coefficients(params.s, params.m),
-        "diagonal": int(witness.matrix.entries[0][0]),
+        "diagonal": intersection_polynomial(params.s, params.m, params.s),
         "checks": {"structure": True},
     }
     if args.check_rank:

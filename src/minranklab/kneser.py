@@ -13,9 +13,9 @@ A ∩ B, that is sum_u c_u C(t, u) with t = |A ∩ B|, so the factorization
 holds exactly when sum_u c_u C(t, u) = P(t) for t = 0..s. Those s + 1
 integer identities are checked once per build, as are the diagonal value
 P(s) = (s-m)! and the zero pattern: for t < s, P(t) = 0 exactly when
-t >= m, at the non-edges. The width rank_bound bounds
-the rank. The parameters fix the vertex order, the c_u and rank_bound, so
-the witness keeps only M and its rank.
+t >= m, at the non-edges. The width rank_bound bounds the rank. The
+parameters fix M, built on its first read; graph() reads K(d,s,m) off the
+intersection counts under the checked zero pattern.
 
 The exact rank over Q is a closed form. M depends only on |A ∩ B|, so it
 lies in the Bose-Mesner algebra of the Johnson scheme J(d, s): on the j-th
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
-from typing import Optional
+from functools import cached_property
+from itertools import combinations
+from typing import Iterator, Optional
 
 from .budgets import DEFAULT_RANK_BUDGET, DEFAULT_VERTEX_BUDGET, check_budget
 from .graphs import Graph, check_odd_length
@@ -114,32 +115,45 @@ def spectral_rank(params: KneserParams) -> int:
     return sum(mult for value, mult in johnson_spectrum(params) if value)
 
 
+def _intersection_counts(d: int, s: int) -> tuple[int, Iterator[bytes]]:
+    """(offset, rows): row A holds a byte c = |A ∩ B| - offset per vertex B in
+    subset_masks order, the sum of one column per element of A, byte B of
+    column i being [i in B]. When 2s > d it counts the complements, offset
+    2s - d, so c <= min(s, d-s) < 256 for any C(d, s) that can be listed."""
+    offset = max(0, 2 * s - d)
+    masks = [mask ^ ((1 << d) - 1 if offset else 0) for mask in subset_masks(d, s)]
+    columns = [int.from_bytes(bytes(mask >> i & 1 for mask in masks), "little") for i in range(d)]
+    sums = (sum(columns[i] for i in range(d) if mask >> i & 1) for mask in masks)
+    return offset, (row.to_bytes(len(masks), "little") for row in sums)
+
+
 @dataclass(frozen=True)
 class KneserWitness:
-    """Representation matrix of K(d,s,m) with its verified rank certificates.
+    """The checked representing matrix of K(d,s,m) and its rank certificates.
 
-    matrix holds the integer entries P(|A ∩ B|) in the vertex order
-    subset_masks(d, s). The identities sum_u c_u C(t, u) = P(t), t = 0..s,
-    were checked, and they make M = L diag(c_|U|) L^T, L being the inclusion
-    matrix of the vertices against the subsets U with |U| <= s-m, so the rank
-    is at most params.rank_bound, the column count of L. params determines
-    the vertex order, the c = pattern_polynomial_coefficients(s, m) and that
-    bound, so none is stored. With the rank checked, rank is the exact rank
-    over the rationals, read off the Johnson-scheme spectrum and matched by
-    the rank mod CERTIFICATE_PRIME; it is None otherwise. P was checked to
-    vanish at t < s exactly when t >= m, so off the diagonal the zero pattern
-    of row A is the b with |A ∩ B| >= m, and graph() reads K(d,s,m) from it.
+    params fix M, the entries P(|A ∩ B|) in the order subset_masks(d, s), of
+    rank at most params.rank_bound, built on the first read of matrix. rank,
+    when checked, is the exact rank over Q, spectral_rank matched by the rank
+    mod CERTIFICATE_PRIME, and None otherwise. graph() reads K(d,s,m) off the
+    intersection counts: P(s) != 0, and P(t) = 0 for t < s exactly when t >= m.
     """
 
     params: KneserParams
-    matrix: RationalMatrix
     rank: Optional[int] = None
 
+    @cached_property
+    def matrix(self) -> RationalMatrix:
+        offset, rows = _intersection_counts(self.params.d, self.params.s)
+        s, m = self.params.s, self.params.m
+        poly = [intersection_polynomial(s, m, t) for t in range(offset, s + 1)]
+        return RationalMatrix(tuple(tuple(map(poly.__getitem__, row)) for row in rows))
+
     def graph(self) -> Graph:
-        """K(d,s,m): vertex a is adjacent to each b != a with a nonzero entry."""
-        n = self.matrix.rows
-        return Graph(n, tuple(sum(1 << b for b in compress(range(n), row)) ^ (1 << a)
-                              for a, row in enumerate(self.matrix.entries)))
+        """K(d,s,m): a ~ b when |A ∩ B| < m, M's nonzeros off the diagonal."""
+        offset, rows = _intersection_counts(self.params.d, self.params.s)
+        table = bytes(b"01"[offset + c < self.params.m] for c in range(256))
+        return Graph(self.params.vertex_count,
+                     tuple(int(row.translate(table)[::-1], 2) for row in rows))
 
 
 class VerificationError(RuntimeError):
@@ -156,16 +170,14 @@ def representation_matrix(
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     rank_budget: int = DEFAULT_RANK_BUDGET,
 ) -> KneserWitness:
-    """Build the representing matrix and check it.
+    """Check the representing matrix of K(d,s,m) and return its witness.
 
-    Every entry is P(t) at t = |A ∩ B|, so the checks run once per t before
-    any row is built: P(s) is the diagonal (s-m)!, P(t) for t < s is zero
-    exactly at the non-edges t >= m, and the s + 1 identities
-    sum_u c_u C(t, u) = P(t) prove M = L diag(c_|U|) L^T. With check_rank,
-    the exact rank is spectral_rank(params), and the rank mod
-    CERTIFICATE_PRIME of the entries must equal it. That elimination meets
-    each of the N rows with up to rank basis rows of N entries, so it is
-    budgeted at N^2 * rank before any entry is built.
+    Every entry is P(t) at t = |A ∩ B|, so _check_values and
+    _check_factorization check M once per t, proving M = L diag(c_|U|) L^T,
+    and no entry is built unless the rank check or a caller reads
+    witness.matrix. With check_rank the rank mod CERTIFICATE_PRIME of the
+    entries must equal spectral_rank(params); that elimination meets each of
+    the N rows with up to rank basis rows of N entries, budgeted at N^2 * rank.
     """
     d, s, m = params.d, params.s, params.m
     n = params.vertex_count
@@ -176,11 +188,9 @@ def representation_matrix(
     poly = [intersection_polynomial(s, m, t) for t in range(s + 1)]
     _check_values(poly, m)
     _check_factorization(pattern_polynomial_coefficients(s, m), poly)
-    masks = subset_masks(d, s)
-    entries = tuple(tuple([poly[(a & b).bit_count()] for b in masks]) for a in masks)
-
+    witness = KneserWitness(params=params, rank=rank)
     if rank is not None:
-        computed = mod_rank(entries, CERTIFICATE_PRIME)
+        computed = mod_rank(witness.matrix.entries, CERTIFICATE_PRIME)
         if computed != rank:
             raise VerificationError(
                 f"rank mod p {computed} differs from the spectral rank {rank}"
@@ -189,7 +199,7 @@ def representation_matrix(
             raise VerificationError(
                 f"rank {rank} exceeds the certificate bound {params.rank_bound}"
             )
-    return KneserWitness(params=params, matrix=RationalMatrix(entries), rank=rank)
+    return witness
 
 
 def _check_values(poly: list[int], m: int) -> None:

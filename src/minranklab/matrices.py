@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -126,6 +127,7 @@ def _packed_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     n = len(rows[0])
     k = ((p - 1) + n * (p - 1) ** 2).bit_length() + 7 >> 3
     mask = (1 << 8 * k) - 1
+    cuts = [slice(i, i + k) for i in range(0, n * k, k)]
     basis: list = []  # (bit offset of the pivot slot, packed row)
     for row in rows:
         v = _pack(row, k, p)
@@ -135,7 +137,7 @@ def _packed_rank(rows: Sequence[Sequence[int]], p: int) -> int:
                 v += (p - f) * r
         slots = v.to_bytes(n * k, "little")
         residue = _echelon_residue(
-            [int.from_bytes(slots[i:i + k], "little") for i in range(0, n * k, k)], [], p
+            map(int.from_bytes, map(slots.__getitem__, cuts), repeat("little")), [], p
         )
         if residue is not None:
             pivot, scaled = residue
@@ -145,7 +147,7 @@ def _packed_rank(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def _pack(row: Sequence[int], k: int, p: int) -> int:
     """The residues of row mod p, one k-byte slot each, column 0 lowest."""
-    return int.from_bytes(b"".join((x % p).to_bytes(k, "little") for x in row), "little")
+    return int.from_bytes(b"".join([(x % p).to_bytes(k, "little") for x in row]), "little")
 
 
 def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
@@ -175,7 +177,7 @@ def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[lis
 
 
 def _echelon_residue(
-    vector: Sequence[int], basis: list, p: int
+    vector: Iterable[int], basis: list, p: int
 ) -> Optional[tuple[int, list[int]]]:
     """Reduce vector mod p against basis, a list of (pivot, row) with
     row[pivot] == 1 and every row zero at the earlier rows' pivots. Returns

@@ -379,6 +379,24 @@ class TestKneserCommand:
         assert result["edge_count"] == expected
         assert ("odd_girth" in result["checks"]) == odd_girth
 
+    def test_odd_girth_build_never_builds_the_matrix(self, capsys, monkeypatch):
+        # the graph comes from the intersection counts and the diagonal from
+        # the checked P(s); only --check-rank and --emit-matrix read M
+        def refuse(witness):
+            raise AssertionError("representing matrix built")
+
+        monkeypatch.setattr(kneser.KneserWitness, "matrix", property(refuse))
+        code, out = run_cli(
+            ["kneser", "build", "--d", "12", "--s", "6", "--m", "2", "--check-odd-girth", "3"],
+            capsys,
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        # each 6-set meets C(6,0) C(6,6) + C(6,1) C(6,5) = 37 others in fewer than 2
+        assert result["edge_count"] == 924 * 37 // 2
+        assert result["diagonal"] == math.factorial(4)
+        assert result["checks"]["odd_girth"]["ok"]
+
     @pytest.mark.parametrize("d, s, m", [(12, 6, 2), (30, 15, 1)])
     def test_bad_odd_girth_refused_before_the_build(self, capsys, monkeypatch, d, s, m):
         # an invalid L wins over the vertex-budget refusal of K(30,15,1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from minranklab import kneser
 from minranklab.budgets import DEFAULT_RANK_BUDGET, DEFAULT_VERTEX_BUDGET, BudgetExceededError
 from minranklab.graphs import (
+    Graph,
     canonical_key,
     complete_graph,
     empty_graph,
@@ -102,11 +103,37 @@ class TestGraph:
         assert 924**2 * 495 <= DEFAULT_RANK_BUDGET < 3432**2 * 2002
 
     def test_witness_graph_is_the_reference_graph(self):
-        for d in range(0, 9):
+        # graph() reads the counts; the parent read M's nonzero pattern
+        for d in range(0, 10):
             for s in range(0, d + 1):
                 for m in range(0, s + 1):
                     params = KneserParams(d, s, m)
-                    assert representation_matrix(params).graph() == oracle_kneser_graph(params)
+                    w = representation_matrix(params)
+                    pattern = Graph(params.vertex_count, tuple(
+                        sum(1 << b for b, x in enumerate(row) if x and b != a)
+                        for a, row in enumerate(w.matrix.entries)
+                    ))
+                    assert w.graph() == pattern == oracle_kneser_graph(params)
+
+    def test_intersection_counts_are_the_popcounts(self):
+        # 2s > d counts over the complements, offset by 2s - d
+        for d in range(0, 10):
+            for s in range(0, d + 1):
+                masks = subset_masks(d, s)
+                offset, rows = kneser._intersection_counts(d, s)
+                assert offset == max(0, 2 * s - d)
+                assert [[offset + c for c in row] for row in rows] == [
+                    [(a & b).bit_count() for b in masks] for a in masks
+                ]
+
+    @pytest.mark.parametrize("m, complete", [(1, False), (255, False), (256, True)])
+    def test_counts_past_one_byte_of_intersection(self, m, complete):
+        # 256-subsets of 257 elements meet in 255; only the complement
+        # count, 0 or 1, fits a byte
+        w = representation_matrix(KneserParams(257, 256, m))
+        assert w.graph() == (complete_graph(257) if complete else empty_graph(257))
+        assert w.matrix.entries[0][0] == math.factorial(256 - m)
+        assert w.matrix.entries[0][1] == intersection_polynomial(256, m, 255)
 
 
 class TestCoefficients:
