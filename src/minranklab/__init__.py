@@ -61,7 +61,6 @@ from .matrices import (
     RationalMatrix,
     format_matrix_text,
     parse_matrix_text,
-    sparsity,
 )
 from .minrank import Bounds, MinrankResult, minrank_bounds, minrank_exact, represents
 from .verifiers import (

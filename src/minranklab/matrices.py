@@ -5,16 +5,17 @@ row against a semi-echelon basis, and rank counts the rows that leave a
 residue. A row takes one of two forms. A list of residues, reduced entry by
 entry in `_echelon_residue`, serves rows shorter than PACKED_MIN_COLUMNS,
 matrices with at most two nonzeros in every row, the nullspace and the
-sparse-basis search. Otherwise `mod_rank` packs a row of PACKED_MIN_COLUMNS
+minimum-weight basis. Otherwise `mod_rank` packs a row of PACKED_MIN_COLUMNS
 or more entries into one Python int with a fixed-width slot per column, and
 reduces it by one big-int multiply-add per basis row, with no per-entry
 reduction until it is unpacked (`_packed_rank`). The nullspace is read off
-the back-substituted basis, and the sparse-basis search enumerates vector
-subsets in lexicographic order with weight pruning, carrying the basis of
-the chosen vectors down the search. `_echelon_residue` is the one place
-that inverts mod p. A rational matrix only holds exact entries (the Kneser
-witness, the modulus-0 text format); no rank is computed over the
-rationals here.
+the back-substituted basis. The minimum-weight basis is one pass that
+inserts the vectors lightest first and keeps each one that leaves a
+residue; that greedy is exact because the independent subsets of a vector
+set form a matroid (Rado 1957; Edmonds 1971). `_echelon_residue` is the
+one place that inverts mod p. A rational matrix only holds exact entries
+(the Kneser witness, the modulus-0 text format); no rank is computed over
+the rationals here.
 """
 
 from __future__ import annotations
@@ -219,14 +220,6 @@ class FieldMatrix:
     def from_rows(cls, p: int, rows: Sequence[Sequence[int]]) -> "FieldMatrix":
         return cls(p, tuple(tuple(x % p for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FieldMatrix":
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def all_ones(cls, p: int, rows: int, cols: int) -> "FieldMatrix":
-        return cls(p, tuple((1,) * cols for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -263,11 +256,6 @@ class RationalMatrix:
     def from_rows(cls, rows: Sequence[Sequence[Union[int, str, Fraction]]]) -> "RationalMatrix":
         return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -280,52 +268,30 @@ class RationalMatrix:
 Matrix = Union[FieldMatrix, RationalMatrix]
 
 
-def sparsity(m: Matrix) -> int:
-    """Number of nonzero entries."""
-    return sum(1 for row in m.entries for x in row if x)
-
-
 # ---------------------------------------------------------------------------
 # sparse bases
 
-def min_basis_weight(vectors: Sequence[Sequence[int]], k: int, p: int) -> int:
-    """Minimum total nonzeros over k independent vectors among vectors (the
-    columns or the rows of a matrix), where k is their rank over GF(p).
-    Entries are read mod p; fewer than k independent vectors raise ValueError.
+def min_weight_basis(vectors: Iterable[Sequence[int]], p: int) -> tuple[int, int]:
+    """(rank, minimum total nonzeros over rank-many independent vectors) of
+    vectors over GF(p), such as the columns or the rows of a matrix, with
+    entries read mod p.
 
-    The search carries the echelon basis of the chosen vectors down the
-    recursion: a vector extends the choice iff its residue against the
-    chosen pivots is nonzero.
+    One pass inserts the vectors lightest first into a semi-echelon basis,
+    and each vector that leaves a residue adds its weight. The greedy is
+    exact: the independent subsets of a vector set form a matroid, and on a
+    matroid it finds a minimum-weight basis (Rado 1957; Edmonds 1971).
     """
-    if k < 0:
-        raise ValueError(f"basis size {k} is negative")
-    if k == 0:
-        return 0
-    weights = [sum(1 for x in v if x % p) for v in vectors]
-    count = len(vectors)
-    best = sum(sorted(weights, reverse=True)[:k])  # trivial upper bound
-    found = False
+    def weight(vector: Sequence[int]) -> int:
+        return sum(1 for x in vector if x % p)
 
-    def extend(start: int, basis: list, weight: int) -> None:
-        nonlocal best, found
-        if weight >= best and len(basis) < k:
-            return
-        if len(basis) == k:
-            best = min(best, weight)
-            found = True
-            return
-        for idx in range(start, count - (k - len(basis)) + 1):
-            w = weight + weights[idx]
-            if w > best:
-                continue
-            pivot_row = _echelon_residue(vectors[idx], basis, p)
-            if pivot_row is not None:
-                extend(idx + 1, basis + [pivot_row], w)
-
-    extend(0, [], 0)
-    if not found:
-        raise ValueError(f"fewer than {k} independent vectors over GF({p})")
-    return best
+    basis: list = []
+    total = 0
+    for vector in sorted(vectors, key=weight):
+        residue = _echelon_residue(vector, basis, p)
+        if residue is not None:
+            basis.append(residue)
+            total += weight(vector)
+    return len(basis), total
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ of the rows; the submatrix sweep reads the profile of each principal block.
 The census lists each multiset of rows once, weighted by its n!/prod(mult!)
 row orders: permuting the rows permutes every column's coordinates alike, so
 the profile (rank, min column and row basis weights) does not change. Within
-one call the (rank, min basis weight) of each multiset of vectors is
-memoized. Violation lists are order-normalized.
+one call the (rank, min basis weight) of each multiset of vectors, which
+one greedy elimination pass gives, is memoized. Violation lists are
+order-normalized.
 
 The sparse-basis count and the principal-submatrix sweep check a range of
 (k, ell) pairs or ranks k in one call, one report per pair: each expands its
@@ -51,7 +52,7 @@ from .graphs import (
     sample_digraph,
     underlying_graph,
 )
-from .matrices import is_prime, min_basis_weight, mod_rank
+from .matrices import is_prime, min_weight_basis, mod_rank
 from .minrank import minrank_exact
 
 
@@ -81,35 +82,25 @@ def _row_tables(n: int, p: int) -> list[list[tuple[int, ...]]]:
     return [[v for v in vectors if v[i]] for i in range(n)]
 
 
-def _profile(multiset: tuple, p: int, memo: dict, k: Optional[int] = None) -> tuple:
+def _profile(multiset: tuple, p: int, memo: dict) -> tuple[int, int]:
     """(rank, min basis weight) of a sorted tuple of vectors over GF(p),
-    memoized on it; the weight is None until a call passes the checked rank k."""
+    memoized on it."""
     found = memo.get(multiset)
     if found is None:
-        found = memo[multiset] = (mod_rank(multiset, p), None)
-    if k is not None and found[1] is None:
-        try:
-            weight = min_basis_weight(multiset, k, p)
-        except ValueError as exc:  # k is the rank mod_rank gave for these vectors
-            raise RuntimeError(f"internal error: basis search at rank {k}: {exc}") from exc
-        found = memo[multiset] = (k, weight)
+        found = memo[multiset] = min_weight_basis(multiset, p)
     return found
 
 
 def _matrix_profile(rows: list, p: int, memo: dict) -> tuple[int, int, int]:
-    """(rank, min column basis weight, min row basis weight) of a matrix. Both
-    ranks are compared before either basis search, which needs the true rank."""
-    row_set, column_set = tuple(sorted(rows)), tuple(sorted(zip(*rows)))
-    k, row_weight = _profile(row_set, p, memo)
-    column_rank, column_weight = _profile(column_set, p, memo)
+    """(rank, min column basis weight, min row basis weight) of a matrix. The
+    row and the column pass are separate eliminations, and their ranks must
+    agree."""
+    k, row_weight = _profile(tuple(sorted(rows)), p, memo)
+    column_rank, column_weight = _profile(tuple(sorted(zip(*rows))), p, memo)
     if column_rank != k:
         raise RuntimeError(
             f"row rank {k} differs from column rank {column_rank} for rows {rows}"
         )
-    if row_weight is None:
-        row_weight = _profile(row_set, p, memo, k)[1]
-    if column_weight is None:
-        column_weight = _profile(column_set, p, memo, k)[1]
     return k, column_weight, row_weight
 
 

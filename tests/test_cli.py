@@ -649,17 +649,20 @@ class TestVerifyCommand:
         assert code == 1 and captured.out == ""
         assert "unrecognized arguments: --jobs 2" in captured.err
 
-    def test_count_failed_basis_search_exit_4(self, capsys, monkeypatch):
-        # a rank that the basis search cannot reach is the kernels' fault,
-        # not the user's: [[0, 1], [1, 0]] is given rank 3
-        rank = verifiers.mod_rank
-        monkeypatch.setattr(
-            verifiers, "mod_rank", lambda rows, p: rank(rows, p) + (rows == ((0, 1), (1, 0)))
-        )
+    def test_count_rank_mismatch_exit_4(self, capsys, monkeypatch):
+        # row and column ranks that disagree are the kernels' fault, not the
+        # user's: the columns {(0,1), (0,1)} of [[0, 0], [1, 1]] are given rank 2
+        search = verifiers.min_weight_basis
+
+        def lying(vectors, p):
+            rank, weight = search(vectors, p)
+            return rank + (vectors == ((0, 1), (0, 1))), weight
+
+        monkeypatch.setattr(verifiers, "min_weight_basis", lying)
         code = main(["verify", "lemma", "--id", "count", "--n", "2", "--field", "2"])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
-        assert captured.err.startswith("internal error: basis search at rank 3: fewer than 3")
+        assert captured.err.startswith("internal error: row rank 1 differs from column rank 2")
 
     def test_count_sweep_lines(self, capsys):
         code, out = run_cli(

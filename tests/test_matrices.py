@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +17,15 @@ from minranklab.matrices import (
     MILLER_RABIN_LIMIT,
     gf2_rank,
     is_prime,
-    min_basis_weight,
+    min_weight_basis,
     mod_nullspace,
     mod_rank,
     _echelon_residue,
     parse_matrix_text,
-    sparsity,
 )
+from minranklab.verifiers import _nonzeros
 
+from _builders import field_all_ones, field_identity, rational_identity
 from _oracles import (
     _plain_mod_rank,
     oracle_fraction_rank,
@@ -73,12 +75,12 @@ def test_entries_reduced():
 
 class TestRank:
     def test_identity(self):
-        assert FieldMatrix.identity(2, 4).rank() == 4
-        assert oracle_fraction_rank(RationalMatrix.identity(4).entries) == 4
+        assert field_identity(2, 4).rank() == 4
+        assert oracle_fraction_rank(rational_identity(4).entries) == 4
 
     def test_all_ones(self):
         for p in (2, 3, 5):
-            assert FieldMatrix.all_ones(p, 4, 4).rank() == 1
+            assert field_all_ones(p, 4, 4).rank() == 1
         assert oracle_fraction_rank(RationalMatrix.from_rows([[1] * 4] * 4).entries) == 1
 
     def test_zero_and_empty(self):
@@ -230,24 +232,28 @@ def test_mod_rank_routes_long_rows_by_nonzeros(p, n, kind, packed, monkeypatch):
 
 class TestSparsity:
     def test_counts(self):
-        assert sparsity(FieldMatrix.from_rows(2, [[0, 0], [0, 0]])) == 0
-        assert sparsity(FieldMatrix.identity(3, 5)) == 5
-        assert sparsity(FieldMatrix.all_ones(2, 2, 2)) == 4
-        assert sparsity(RationalMatrix.from_rows([[0, "1/2"], [1, 0]])) == 2
+        # the nonzeros the submatrix sweep counts in each principal block
+        assert _nonzeros(FieldMatrix.from_rows(2, [[0, 0], [0, 0]]).entries) == 0
+        assert _nonzeros(field_identity(3, 5).entries) == 5
+        assert _nonzeros(field_all_ones(2, 2, 2).entries) == 4
+        assert _nonzeros(RationalMatrix.from_rows([[0, "1/2"], [1, 0]]).entries) == 2
 
 
 def basis_weights(m: FieldMatrix) -> tuple[int, int]:
-    """(min column basis weight, min row basis weight) of m."""
-    k = m.rank()
-    return min_basis_weight(list(zip(*m.entries)), k, m.p), min_basis_weight(m.entries, k, m.p)
+    """(min column basis weight, min row basis weight) of m; both greedy
+    passes must find the rank that FieldMatrix.rank computes."""
+    column_rank, column_weight = min_weight_basis(list(zip(*m.entries)), m.p)
+    row_rank, row_weight = min_weight_basis(m.entries, m.p)
+    assert column_rank == row_rank == m.rank()
+    return column_weight, row_weight
 
 
 class TestSparseBases:
     def test_identity(self):
-        assert basis_weights(FieldMatrix.identity(2, 4)) == (4, 4)
+        assert basis_weights(field_identity(2, 4)) == (4, 4)
 
     def test_all_ones(self):
-        assert basis_weights(FieldMatrix.all_ones(2, 3, 3)) == (3, 3)
+        assert basis_weights(field_all_ones(2, 3, 3)) == (3, 3)
 
     def test_zero_matrix(self):
         assert basis_weights(FieldMatrix.from_rows(2, [[0, 0], [0, 0]])) == (0, 0)
@@ -258,18 +264,25 @@ class TestSparseBases:
         assert basis_weights(m)[0] == 2
 
     def test_entries_read_mod_p(self):
-        # (3, 0) is the zero vector over GF(3), and (3, 1) weighs 1
-        with pytest.raises(ValueError, match="fewer than 1 independent vectors"):
-            min_basis_weight([(3, 0)], 1, 3)
-        assert min_basis_weight([(3, 1), (1, 1)], 1, 3) == 1
+        # over GF(3), (3, 0) is the zero vector, (3, 1) weighs 1, and (0, 4)
+        # is (0, 1), in the span of (3, 1)
+        assert min_weight_basis([(3, 0)], 3) == (0, 0)
+        assert min_weight_basis([(3, 1), (1, 1)], 3) == (2, 3)
+        assert min_weight_basis([(3, 1), (0, 4)], 3) == (1, 1)
 
-    def test_rank_above_the_vectors_refused(self):
-        with pytest.raises(ValueError, match="fewer than 2 independent vectors over GF\\(3\\)"):
-            min_basis_weight([(1, 0), (2, 0)], 2, 3)
-
-    def test_negative_size_refused(self):
-        with pytest.raises(ValueError, match="basis size -1 is negative"):
-            min_basis_weight([(1,)], -1, 2)
+    @pytest.mark.parametrize("p,dim,size", [(2, 3, 4), (3, 2, 3)])
+    def test_every_small_multiset_matches_subset_oracle(self, p, dim, size):
+        # every multiset of at most `size` vectors of GF(p)^dim, the empty
+        # one, zero vectors and repeats included
+        space = [list(v) for v in product(range(p), repeat=dim)]
+        checked = 0
+        for count in range(size + 1):
+            for vectors in combinations_with_replacement(space, count):
+                vectors = list(vectors)
+                expected = (_plain_mod_rank(vectors, p), oracle_min_basis_weight(vectors, p))
+                assert min_weight_basis(vectors, p) == expected, vectors
+                checked += 1
+        assert checked == comb(p**dim + size, size)
 
     def test_bruteforce_min_weight(self):
         rng = random.Random(33)

@@ -16,7 +16,7 @@ from minranklab.graphs import (
     cycle_graph,
     empty_graph,
 )
-from minranklab.matrices import FieldMatrix, RationalMatrix
+from minranklab.matrices import FieldMatrix
 from minranklab.minrank import (
     _nonzero_functionals,
     minrank_bounds,
@@ -25,6 +25,7 @@ from minranklab.minrank import (
     solver_work_estimate,
 )
 
+from _builders import field_all_ones, field_identity, rational_identity
 from _oracles import oracle_first_feasible_space, oracle_minrank, oracle_rref
 
 
@@ -64,10 +65,10 @@ PINNED_WITNESSES = [
 
 class TestRepresents:
     def test_identity_represents_empty(self):
-        assert represents(FieldMatrix.identity(2, 4), empty_graph(4))
+        assert represents(field_identity(2, 4), empty_graph(4))
 
     def test_all_ones_represents_complete(self):
-        assert represents(FieldMatrix.all_ones(3, 5, 5), complete_graph(5))
+        assert represents(field_all_ones(3, 5, 5), complete_graph(5))
 
     def test_nonedge_violation(self):
         m = FieldMatrix.from_rows(2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -80,7 +81,7 @@ class TestRepresents:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            represents(FieldMatrix.identity(2, 3), empty_graph(4))
+            represents(field_identity(2, 3), empty_graph(4))
         with pytest.raises(ValueError):
             represents(FieldMatrix.from_rows(2, [[1, 0]]), empty_graph(1))
 
@@ -92,7 +93,7 @@ class TestRepresents:
         assert not represents(lower, d)
 
     def test_rational_matrix(self):
-        assert represents(RationalMatrix.identity(3), empty_graph(3))
+        assert represents(rational_identity(3), empty_graph(3))
 
 
 class TestBounds:

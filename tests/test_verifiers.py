@@ -22,7 +22,7 @@ from minranklab.graphs import (
     star_graph,
     underlying_graph,
 )
-from minranklab.matrices import FieldMatrix, sparsity
+from minranklab.matrices import FieldMatrix
 from minranklab.minrank import minrank_exact
 from minranklab.verifiers import (
     basis_weight_census,
@@ -36,6 +36,7 @@ from minranklab.verifiers import (
     verify_sparsity_lower_bound,
 )
 
+from _builders import field_identity
 from _oracles import (
     _plain_mod_rank,
     oracle_basis_weight_census,
@@ -78,8 +79,8 @@ class TestSparsityLowerBound:
     def test_identity_is_tight_within_factor_four(self):
         # the bound n^2/(4k) is off by exactly 4 on the identity: s = n^2/k
         for n in (1, 2, 3, 4):
-            m = FieldMatrix.identity(2, n)
-            assert sparsity(m) * m.rank() == n * n
+            m = field_identity(2, n)
+            assert verifiers._nonzeros(m.entries) * m.rank() == n * n
 
     def test_budget_refusal(self, monkeypatch):
         # n = 5 is over budget, so the sweep refuses before it ranks any
@@ -120,13 +121,13 @@ class TestSparsityLowerBound:
     def test_no_basis_searches(self, monkeypatch):
         # the sweep reads only the rank, so it runs no sparse-basis search
         calls = []
-        search = verifiers.min_basis_weight
+        search = verifiers.min_weight_basis
 
-        def counted(cols, k, p):
-            calls.append(k)
-            return search(cols, k, p)
+        def counted(vectors, p):
+            calls.append(vectors)
+            return search(vectors, p)
 
-        monkeypatch.setattr(verifiers, "min_basis_weight", counted)
+        monkeypatch.setattr(verifiers, "min_weight_basis", counted)
         assert verify_sparsity_lower_bound(4, 2).ok
         assert calls == []
 
@@ -308,39 +309,28 @@ class TestBasisWeightCensus:
         # C(16 + 3, 4) = 3876 multisets of four vectors of GF(2)^4; a second
         # call searches them all again, so the memo lives for one call only
         calls = [0]
-        search = verifiers.min_basis_weight
+        search = verifiers.min_weight_basis
 
-        def counted(cols, k, p):
+        def counted(vectors, p):
             calls[0] += 1
-            return search(cols, k, p)
+            return search(vectors, p)
 
-        monkeypatch.setattr(verifiers, "min_basis_weight", counted)
+        monkeypatch.setattr(verifiers, "min_weight_basis", counted)
         for _ in range(2):
             calls[0] = 0
             basis_weight_census(4, 2)
             assert calls[0] == 3876
 
     def test_row_column_rank_mismatch_raises(self, monkeypatch):
-        rank = verifiers.mod_rank
+        search = verifiers.min_weight_basis
 
-        def lying(rows, p):
+        def lying(vectors, p):
             # [[0, 1], [0, 1]] has rows {(0,1), (0,1)} but columns {(0,0), (1,1)}
-            return rank(rows, p) + (rows == ((0, 1), (0, 1)))
+            rank, weight = search(vectors, p)
+            return rank + (vectors == ((0, 1), (0, 1))), weight
 
-        monkeypatch.setattr(verifiers, "mod_rank", lying)
+        monkeypatch.setattr(verifiers, "min_weight_basis", lying)
         with pytest.raises(RuntimeError, match="differs from column rank"):
-            basis_weight_census(2, 2)
-
-    def test_failed_basis_search_is_an_internal_error(self, monkeypatch):
-        # [[0, 1], [1, 0]] has rows and columns {(0,1), (1,0)}: both ranks
-        # agree on the lie, and the basis search finds no third vector
-        rank = verifiers.mod_rank
-
-        def lying(rows, p):
-            return rank(rows, p) + (rows == ((0, 1), (1, 0)))
-
-        monkeypatch.setattr(verifiers, "mod_rank", lying)
-        with pytest.raises(RuntimeError, match="^internal error: basis search at rank 3"):
             basis_weight_census(2, 2)
 
 
@@ -369,10 +359,11 @@ class TestPrincipalSubmatrix:
 
     def test_all_ones_two_by_two(self):
         # the full 2x2 block qualifies: n'=2, k'=1, s'=4, ell=4
-        m = [[1, 1], [1, 1]]
-        sub = FieldMatrix.from_rows(2, m)
-        assert sub.rank() == 1
-        assert sparsity(sub) == 4
+        m = [(1, 1), (1, 1)]
+        assert FieldMatrix.from_rows(2, m).rank() == 1
+        assert verifiers._nonzeros(m) == 4
+        # one column and one row of weight 2 each: 2 * n' <= 2 s' k'
+        assert verifiers._matrix_profile(m, 2, {}) == (1, 2, 2)
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
@@ -395,7 +386,10 @@ class TestPrincipalSubmatrix:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_qualifying_block_reports_every_rank_k_matrix(self, monkeypatch, k):
         # basis weights above every threshold 2 s' k' / n' leave no block
-        monkeypatch.setattr(verifiers, "min_basis_weight", lambda cols, rank, p: 10**6)
+        search = verifiers.min_weight_basis
+        monkeypatch.setattr(
+            verifiers, "min_weight_basis", lambda vectors, p: (search(vectors, p)[0], 10**6)
+        )
         [report] = verify_principal_submatrix_decomposition(3, 2, k=k)
         expected = [
             {"n": n, "k": k, "matrix": rows}
@@ -409,7 +403,10 @@ class TestPrincipalSubmatrix:
 
     def test_default_range_equals_each_fixed_k(self, monkeypatch):
         # one listing and one memo for every k give each k's own report
-        monkeypatch.setattr(verifiers, "min_basis_weight", lambda cols, rank, p: 10**6)
+        search = verifiers.min_weight_basis
+        monkeypatch.setattr(
+            verifiers, "min_weight_basis", lambda vectors, p: (search(vectors, p)[0], 10**6)
+        )
         reports = verify_principal_submatrix_decomposition(3, 2)
         assert reports == [
             verify_principal_submatrix_decomposition(3, 2, k=k)[0] for k in (1, 2, 3)
