@@ -423,36 +423,27 @@ def _stable_coloring(g: Graph) -> tuple[list[int], tuple]:
         count = len(names)
 
 
-def canonical_key(g: Graph) -> tuple:
-    """A key that two graphs share exactly when they are isomorphic.
-
-    The key is (color signature, minimum encoding). The color signature comes
-    from stable color refinement. The encoding of a vertex order packs, row
-    by row, each vertex's adjacency to the vertices before it; the minimum
-    runs over the orders that keep the cells in color order and permute only
-    within each cell. It is found position by position, keeping every
-    partial order that ties on the smallest prefix. Twins (same neighbors
-    apart from each other) are placed in label order, since swapping two of
-    them is an automorphism. The work grows with the size of the cells, so
-    the key is meant for small graphs (n <= 8 or refinement-friendly ones).
-    """
-    colors, signature = _stable_coloring(g)
-    adj = g.adj
-    cell: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        cell[c] = cell.get(c, 0) | 1 << v
-    twins_before = [0] * g.n
-    for v in range(g.n):
-        for u in _bits(cell[colors[v]] & ((1 << v) - 1)):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                twins_before[v] |= 1 << u
+def _least_encoding(adj: tuple[int, ...], pools: Sequence[int]) -> int:
+    """The least encoding over the vertex orders that draw position i from
+    pools[i], the cells of a vertex partition each listed once per member.
+    An order's encoding packs, row by row, each vertex's adjacency to those
+    before it, the first placed most significant. The search keeps every
+    partial order that ties on the smallest prefix, and places twins within
+    a pool (same neighbors apart from each other) in label order, since
+    swapping two of them is an automorphism."""
+    twins_before = [0] * len(adj)
+    for pool in set(pools):
+        for v in _bits(pool):
+            for u in _bits(pool & ((1 << v) - 1)):
+                if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    twins_before[v] |= 1 << u
     partial: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (order, used mask)
     code = 0
-    for i, c in enumerate(sorted(colors)):
+    for i, pool in enumerate(pools):
         best_row = -1
         extended: list[tuple[tuple[int, ...], int]] = []
         for order, used in partial:
-            for v in _bits(cell[c] & ~used):
+            for v in _bits(pool & ~used):
                 if twins_before[v] & ~used:
                     continue  # a smaller twin of v must come first
                 row = 0
@@ -465,7 +456,27 @@ def canonical_key(g: Graph) -> tuple:
                     extended.append((order + (v,), used | 1 << v))
         partial = extended
         code = code << i | best_row
-    return signature, code
+    return code
+
+
+def canonical_key(g: Graph) -> tuple:
+    """A key that two graphs share exactly when they are isomorphic: the
+    signature of stable color refinement, and the least encoding over the
+    orders that keep the cells in color order (the search `least_edge_mask`
+    runs over all orders). The work grows with the size of the cells, so the
+    key is meant for small graphs (n <= 8 or refinement-friendly ones)."""
+    colors, signature = _stable_coloring(g)
+    cell: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        cell[c] = cell.get(c, 0) | 1 << v
+    return signature, _least_encoding(g.adj, [cell[c] for c in sorted(colors)])
+
+
+def least_edge_mask(g: Graph) -> int:
+    """The least `Graph.edge_mask()` over the relabelings of g: the vertex
+    placed i-th takes label n-1-i, so its row is the next i mask bits from
+    the top, the pairs (n-1-i, n-1), ..., (n-1-i, n-i)."""
+    return _least_encoding(g.adj, [(1 << g.n) - 1] * g.n)
 
 
 # ---------------------------------------------------------------------------

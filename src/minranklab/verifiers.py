@@ -25,14 +25,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import (
-    combinations,
-    combinations_with_replacement,
-    groupby,
-    islice,
-    permutations,
-    product,
-)
+from itertools import combinations, combinations_with_replacement, groupby, islice, product
 from math import comb, factorial, prod
 from typing import Optional
 
@@ -49,6 +42,7 @@ from .graphs import (
     contains_subgraph,
     empty_graph,
     is_tree,
+    least_edge_mask,
     sample_digraph,
     underlying_graph,
 )
@@ -329,9 +323,11 @@ def exhaustive_g(
     Complementing preserves isomorphism and minrank is isomorphism-invariant,
     so the solver runs once per class, on the complement of its
     representative. The witness is the accepted graph of smallest edge mask
-    attaining the maximum: the least edge mask over the n! relabelings of
-    each maximizing class. `graphs_checked` is the 2^C(n,2) labeled graphs,
-    `accepted` counts labeled graphs, `evaluated` classes.
+    attaining the maximum, the least `least_edge_mask` of the maximizing
+    classes. `graph_budget` bounds the containment tests, one per class and
+    S, and is checked before each level grows, so before any solve.
+    `graphs_checked` is the 2^C(n,2) labeled graphs, `accepted` counts
+    labeled graphs, `evaluated` classes.
 
     `dedup` stays only so that `dedup=True` calls keep working; `dedup=False`
     asked for the removed solve-every-graph path and is refused.
@@ -342,14 +338,15 @@ def exhaustive_g(
         raise ValueError("exhaustive_g always deduplicates by isomorphism class")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    total = 1 << (n * (n - 1) // 2)
-    check_budget(total, graph_budget, f"graph sweep at n={n}")
     if h_graph.n == 0:
         raise ValueError("pattern graph needs at least one vertex")
     start = empty_graph(0)
     # canonical key -> [complement representative, labeled count]
     classes: dict[tuple, list] = {canonical_key(start): [start, 1]}
+    tests = 0
     for v in range(n):
+        tests += len(classes) << v
+        check_budget(tests, graph_budget, f"graph sweep at n={n} growing to {v + 1} vertices")
         grown: dict[tuple, list] = {}
         for comp, count in classes.values():
             for s in range(1 << v):
@@ -361,32 +358,16 @@ def exhaustive_g(
         classes = grown
     if not classes:
         raise ValueError("no graph on n vertices has an H-free complement")
-    best_value, best = -1, []
-    for comp, _ in classes.values():
-        g = complement(comp)
-        value = minrank_exact(g, p, work_budget).value
-        if value > best_value:
-            best_value, best = value, []
-        if value == best_value:
-            best.append(g)
+    graphs = [complement(comp) for comp, _ in classes.values()]
+    values = [minrank_exact(g, p, work_budget).value for g in graphs]
+    best_value = max(values)
+    least = min(least_edge_mask(g) for g, value in zip(graphs, values) if value == best_value)
     return ExhaustiveExtremal(
         value=best_value,
-        witness=Graph.from_edge_mask(n, min(map(_least_edge_mask, best))),
-        graphs_checked=total,
+        witness=Graph.from_edge_mask(n, least),
+        graphs_checked=1 << (n * (n - 1) // 2),
         accepted=sum(count for _, count in classes.values()),
         evaluated=len(classes),
-    )
-
-
-def _least_edge_mask(g: Graph) -> int:
-    """The smallest edge mask, over the pairs in lexicographic order, of the
-    n! relabelings of g."""
-    bit = [[0] * g.n for _ in range(g.n)]
-    for i, (a, b) in enumerate(combinations(range(g.n), 2)):
-        bit[a][b] = bit[b][a] = 1 << i
-    edges = g.edges()
-    return min(
-        sum(bit[order[u]][order[v]] for u, v in edges) for order in permutations(range(g.n))
     )
 
 

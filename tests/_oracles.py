@@ -244,6 +244,20 @@ def oracle_min_odd_cycle(g: Graph, limit: int) -> int | None:
     return None
 
 
+def oracle_least_edge_mask(g: Graph) -> int:
+    """The smallest edge mask, over the pairs in lexicographic order, of the
+    n! relabelings of g, trying every relabeling."""
+    from itertools import permutations
+
+    bit = [[0] * g.n for _ in range(g.n)]
+    for i, (a, b) in enumerate(combinations(range(g.n), 2)):
+        bit[a][b] = bit[b][a] = 1 << i
+    edges = g.edges()
+    return min(
+        sum(bit[order[u]][order[v]] for u, v in edges) for order in permutations(range(g.n))
+    )
+
+
 def oracle_kneser_graph(params) -> Graph:
     """K(d, s, m): the s-subsets of {0..d-1} in lexicographic order, a pair
     adjacent when the subsets share fewer than m elements, pair by pair."""

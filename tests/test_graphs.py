@@ -24,6 +24,7 @@ from minranklab.graphs import (
     independence_number,
     is_forest,
     is_tree,
+    least_edge_mask,
     min_odd_cycle_at_most,
     named_graph,
     optimal_coloring,
@@ -34,7 +35,7 @@ from minranklab.graphs import (
     union_graph,
 )
 
-from _oracles import oracle_min_odd_cycle, oracle_min_vertex_cover
+from _oracles import oracle_least_edge_mask, oracle_min_odd_cycle, oracle_min_vertex_cover
 
 
 def all_graphs(n):
@@ -466,3 +467,16 @@ class TestCanonicalKey:
         # no vertex-count limit: a relabeled C9 keeps its key
         c9 = relabeled(cycle_graph(9), [4, 0, 7, 2, 8, 5, 1, 6, 3])
         assert canonical_key(cycle_graph(9)) == canonical_key(c9)
+
+
+class TestLeastEdgeMask:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_every_graph_matches_the_relabeling_oracle(self, n):
+        for g in all_graphs(n):
+            assert least_edge_mask(g) == oracle_least_edge_mask(g)
+
+    def test_sample_at_seven_matches_the_relabeling_oracle(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            g = random_graph(7, rng)
+            assert least_edge_mask(g) == oracle_least_edge_mask(g)

@@ -492,6 +492,11 @@ class TestExhaustive:
         # one containment test per (class at v - 1, back-neighbourhood), one
         # key per survivor and one for the empty start graph
         assert calls == {"contains_subgraph": 595, "canonical_key": 336}
+        # the containment tests are what graph_budget counts
+        for n, tests in [(7, 3027), (8, 16723)]:
+            calls["contains_subgraph"] = 0
+            exhaustive_g(n, complete_graph(3), 2)
+            assert calls["contains_subgraph"] == tests
 
     def test_triangle_table(self):
         results = [exhaustive_g(n, complete_graph(3), 2) for n in range(1, 7)]
@@ -507,6 +512,20 @@ class TestExhaustive:
         assert (result.value, result.accepted, result.evaluated) == (3, 5789, 38)
         assert graph_to_graph6(result.witness) == "ELn?"
 
+    @pytest.mark.parametrize(
+        "n, p, accepted, evaluated, witness",
+        [
+            (7, 2, 133501, 107, "FLm}?"),
+            (7, 3, 133501, 107, "FLm}?"),
+            (8, 2, 4682270, 410, "GLm|}?"),
+        ],
+    )
+    def test_triangle_rows_under_the_default_budget(self, n, p, accepted, evaluated, witness):
+        result = exhaustive_g(n, complete_graph(3), p)
+        assert (result.value, result.accepted, result.evaluated) == (3, accepted, evaluated)
+        assert result.graphs_checked == 1 << n * (n - 1) // 2
+        assert graph_to_graph6(result.witness) == witness
+
     def test_single_edge_pattern_leaves_only_complete_graph(self):
         result = exhaustive_g(3, path_graph(2), 2)
         assert result.accepted == 1
@@ -517,9 +536,14 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             exhaustive_g(3, complete_graph(1), 2)
 
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceededError):
-            exhaustive_g(7, complete_graph(3), 2)
+    def test_budget_refusal(self, monkeypatch):
+        # the n = 7 sweep makes 3,027 containment tests, the last 38 * 2^6 of
+        # them growing to 7 vertices
+        assert exhaustive_g(7, complete_graph(3), 2, graph_budget=3027).value == 3
+        monkeypatch.setattr(verifiers, "minrank_exact", None)  # refused before any solve
+        with pytest.raises(BudgetExceededError, match="growing to 7 vertices") as info:
+            exhaustive_g(7, complete_graph(3), 2, graph_budget=3026)
+        assert (info.value.estimate, info.value.budget) == (3027, 3026)
 
     @pytest.mark.parametrize("p", [4, 1])
     def test_non_prime_field_refused_before_the_sweep(self, p, monkeypatch):
