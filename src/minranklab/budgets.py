@@ -35,9 +35,9 @@ DEFAULT_ENUMERATION_BUDGET = 1 << 17
 # entries take over 1 GB as tuples
 DEFAULT_VERTEX_BUDGET = 5_000
 # `kneser build --check-rank` meets each of N rows with up to rank basis rows
-# of N entries: N^2 * rank units. K(12,6,2) needs 4.2e8 and took 1.4 s of CPU,
-# K(14,7,2) needs 2.4e10 and took 67 s (3.3 and 2.8 ns a unit), so the default
-# admits about 3 s. Small or low-rank matrices cost more per unit (7-55 ns at
+# of N entries: N^2 * rank units. K(12,6,2) needs 4.2e8 and took 0.9 s of CPU,
+# K(14,7,2) needs 2.4e10 and took 38 s (2.1 and 1.6 ns a unit), so the default
+# admits about 2 s. Small or low-rank matrices cost more per unit (5-30 ns at
 # K(10,5,m), m >= 2), where packing each row outweighs its row steps.
 DEFAULT_RANK_BUDGET = 1_000_000_000
 

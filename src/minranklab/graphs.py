@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -45,6 +45,15 @@ def _check_rows(n: int, adj: tuple[int, ...]) -> None:
             raise ValueError(f"self-loop at vertex {i}")
 
 
+def _refuse_asymmetric(adj: tuple[int, ...]) -> NoReturn:
+    """Raise a ValueError naming the first bit, in row-major order, whose
+    mirror is missing."""
+    i, j = next(
+        (i, j) for i, row in enumerate(adj) for j in _bits(row) if not adj[j] >> i & 1
+    )
+    raise ValueError(f"adjacency not symmetric at ({i},{j})")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: symmetric, irreflexive bitset adjacency rows."""
@@ -54,10 +63,21 @@ class Graph:
 
     def __post_init__(self) -> None:
         _check_rows(self.n, self.adj)
-        for i in range(self.n):
-            for j in _bits(self.adj[i]):
-                if not (self.adj[j] >> i) & 1:
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        # each bit above the diagonal must have its mirror below it; with as
+        # many bits below as above, no bit below is left without a mirror
+        adj = self.adj
+        above = below = 0
+        for i, row in enumerate(adj):
+            upper = row >> i << i
+            above += upper.bit_count()
+            below += (row ^ upper).bit_count()
+            while upper:
+                lsb = upper & -upper
+                if not adj[lsb.bit_length() - 1] >> i & 1:
+                    _refuse_asymmetric(adj)
+                upper ^= lsb
+        if above != below:
+            _refuse_asymmetric(adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -272,7 +292,11 @@ def min_odd_cycle_at_most(g: Graph, ell: int) -> Optional[int]:
                 reach |= g.adj[u]
             layer = reach & ~seen
             seen |= layer
-            if any(g.adj[u] & layer for u in _bits(layer)):
+            # at depth 1 a layer edge closes a triangle through v; every
+            # triangle is found from its least vertex, which runs first, so
+            # only the neighbours above v need probing
+            probe = layer >> v << v if depth == 1 else layer
+            if any(g.adj[u] & layer for u in _bits(probe)):
                 best, cap = 2 * depth + 1, depth - 1
                 break
         if best == 3:

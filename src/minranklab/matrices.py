@@ -4,26 +4,29 @@ Eliminations over GF(p), bar the bitset `gf2_rank` for p = 2, reduce each
 row against a semi-echelon basis, and rank counts the rows that leave a
 residue. A row takes one of two forms. A list of residues, reduced entry by
 entry in `_echelon_residue`, serves rows shorter than PACKED_MIN_COLUMNS,
-matrices with at most two nonzeros in every row, the nullspace and the
-minimum-weight basis. Otherwise `mod_rank` packs a row of PACKED_MIN_COLUMNS
-or more entries into one Python int with a fixed-width slot per column, and
-reduces it by one big-int multiply-add per basis row, with no per-entry
-reduction until it is unpacked (`_packed_rank`). The nullspace is read off
-the back-substituted basis. The minimum-weight basis is one pass that
-inserts the vectors lightest first and keeps each one that leaves a
-residue; that greedy is exact because the independent subsets of a vector
-set form a matroid (Rado 1957; Edmonds 1971). `_echelon_residue` is the
-one place that inverts mod p. A rational matrix only holds exact entries
-(the Kneser witness, the modulus-0 text format); no rank is computed over
-the rationals here.
+primes other than the Mersenne primes 2^q - 1, matrices with at most two
+nonzeros in every row, the nullspace and the minimum-weight basis.
+Otherwise `mod_rank` packs a row into one Python int with a fixed-width
+slot per column, column 0 on top, and reduces it by one big-int
+multiply-add per basis row (`_packed_rank`). The row is never unpacked: as
+2^q = 1 mod p, a few whole-int shifts, masks and adds fold every slot to
+its residue at once (the special-form reduction of Crandall and Pomerance,
+*Prime Numbers*, 2005), and the top nonzero slot is the pivot. The
+certificate prime 2^31 - 1 of the Kneser rank check is one such prime. The
+nullspace is read off the back-substituted basis. The minimum-weight basis
+is one pass that inserts the vectors lightest first and keeps each one that
+leaves a residue; that greedy is exact because the independent subsets of a
+vector set form a matroid (Rado 1957; Edmonds 1971). `_inverse` is the one
+place that inverts mod p. A rational matrix only holds exact entries (the
+Kneser witness, the modulus-0 text format); no rank is computed over the
+rationals here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 # The first 13 primes. As Miller-Rabin bases they decide primality exactly
@@ -84,25 +87,28 @@ def gf2_rank(rows: Iterable[int]) -> int:
 
 
 # Rows at least this long are reduced packed; on shorter rows the passes that
-# pack and unpack a row outweigh what the big-int row steps save. On random
-# dense n x n matrices the list/packed time ratio was 0.6, 0.8, 0.9 and 1.4
-# at n = 16 over GF(2), GF(3), GF(5) and GF(2^31 - 1), and 1.0-1.1, 1.3-1.6,
-# 1.0 and 2.1-2.7 at n = 32.
-PACKED_MIN_COLUMNS = 32
+# pack and fold a row outweigh what the big-int row steps save. On random
+# dense n x n matrices the list/packed time ratio was 0.8, 0.9 and 0.9 at
+# n = 4 over GF(3), GF(7) and GF(2^31 - 1); 1.1, 1.2 and 1.3 at n = 8; 1.8,
+# 2.0 and 2.3 at n = 16; 3.5, 3.7 and 4.5 at n = 32; 5.5, 7.4 and 8.4 at 64.
+PACKED_MIN_COLUMNS = 16
 
 
 def mod_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over GF(p): the number of rows that leave a residue. Rows of
-    PACKED_MIN_COLUMNS entries or more are reduced by _packed_rank, unless
-    no row has more than two nonzero entries.
+    PACKED_MIN_COLUMNS entries or more are reduced by _packed_rank when p is
+    a Mersenne prime 2^q - 1, unless no row has more than two nonzero
+    entries; GF(2) and other primes keep list rows.
 
     Reducing a row with at most two nonzeros against such rows leaves at most
     two, so those matrices never fill in, and the list path's few passes per
-    row beat packing and unpacking it: on the K(10,5,1) matrix (252 columns,
-    two nonzeros per row) the list path took 0.010 s and the packed one 0.04 s.
+    row beat packing and folding it: on the K(10,5,1) matrix (252 columns,
+    two nonzeros per row) the list path took 0.012 s and the packed one
+    0.020 s, and on K(12,6,1) 0.14 and 0.29 s.
     """
     if (
         rows
+        and p & (p + 1) == 0
         and len(rows[0]) >= PACKED_MIN_COLUMNS
         and any(len(row) - row.count(0) > 2 for row in rows)
     ):
@@ -116,39 +122,66 @@ def mod_rank(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def _packed_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    """mod_rank with each row packed into one int, k little-endian bytes per
-    column, so one row step is one big-int v += (p - f) * r.
+    """mod_rank for a Mersenne prime p = 2^q - 1, with each row packed into
+    one int, a w-bit slot per column and column 0 in the top slot, so one row
+    step is one big-int v += (p - f) * r and a row is never unpacked.
 
-    A basis row holds residues in [0, p), 1 at its pivot, and a vector starts
-    reduced, so a slot grows by at most (p-1)^2 per basis row, of which there
-    are at most n: k bytes hold (p-1) + n(p-1)^2 and no slot carries into the
-    next. A reduced vector is unpacked once; _echelon_residue against an
-    empty basis finds its pivot and scales it to 1, or shows it is zero mod p.
+    A basis row holds residues in [0, p), 1 at its pivot and zeros above it,
+    and a vector starts reduced, so a slot grows by at most (p-1)^2 per basis
+    row, of which there are at most n: w bits hold (p-1) + n(p-1)^2 and no
+    slot carries into the next. Since 2^q = 1 mod p, a _folder brings every
+    slot of a reduced vector to its residue at once. The vector is then zero
+    exactly when it lies in the span, and otherwise its top nonzero slot is
+    its pivot: scaled by the pivot's inverse and folded again, it joins the
+    basis.
     """
     n = len(rows[0])
-    k = ((p - 1) + n * (p - 1) ** 2).bit_length() + 7 >> 3
-    mask = (1 << 8 * k) - 1
-    cuts = [slice(i, i + k) for i in range(0, n * k, k)]
+    bound = (p - 1) + n * (p - 1) ** 2
+    k = bound.bit_length() + 7 >> 3
+    w = 8 * k
+    mask = (1 << w) - 1
+    ones = ((1 << n * w) - 1) // mask  # a 1 in every slot
+    reduce_vector = _folder(p, w, ones, bound)
+    scale_row = _folder(p, w, ones, (p - 1) ** 2)
     basis: list = []  # (bit offset of the pivot slot, packed row)
     for row in rows:
-        v = _pack(row, k, p)
+        v = int.from_bytes(b"".join([(x % p).to_bytes(k, "big") for x in row]), "big")
         for shift, r in basis:
             f = (v >> shift & mask) % p
             if f:
                 v += (p - f) * r
-        slots = v.to_bytes(n * k, "little")
-        residue = _echelon_residue(
-            map(int.from_bytes, map(slots.__getitem__, cuts), repeat("little")), [], p
-        )
-        if residue is not None:
-            pivot, scaled = residue
-            basis.append((8 * k * pivot, _pack(scaled, k, p)))
+        v = reduce_vector(v)
+        if v:
+            shift = (v.bit_length() - 1) // w * w
+            basis.append((shift, scale_row(v * _inverse(v >> shift, p))))
     return len(basis)
 
 
-def _pack(row: Sequence[int], k: int, p: int) -> int:
-    """The residues of row mod p, one k-byte slot each, column 0 lowest."""
-    return int.from_bytes(b"".join([(x % p).to_bytes(k, "little") for x in row]), "little")
+def _folder(p: int, w: int, ones: int, bound: int) -> Callable[[int], int]:
+    """A function that takes a packed vector of w-bit slots, each at most
+    bound, to the vector of their residues mod p = 2^q - 1.
+
+    Each fold x <- (x mod 2^q) + (x >> q) keeps a slot's residue, as
+    2^q = 1 mod p, and the largest it can leave of an x at most bound is
+    counted exactly; once every slot is below 2p, bit q of x + 1 is set
+    exactly when x >= p, and subtracting p there leaves the residue. No step
+    carries across slots.
+    """
+    q = p.bit_length()
+    low = ones * p  # the low q bits of every slot
+    high = ones * ((1 << w - q) - 1)  # the bits a shift by q leaves in each slot
+    folds = 0
+    while bound >= 2 * p:
+        bound = max((bound & p) + (bound >> q), p + (bound >> q) - 1)
+        folds += 1
+
+    def fold(v: int) -> int:
+        for _ in range(folds):
+            v = (v & low) + (v >> q & high)
+        carry = (v + ones) >> q & ones
+        return v - (carry << q) + carry
+
+    return fold
 
 
 def mod_nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
@@ -191,9 +224,15 @@ def _echelon_residue(
             v = [(x - f * y) % p for x, y in zip(v, row)]
     for pivot, x in enumerate(v):
         if x:
-            inv = pow(x, p - 2, p)
+            inv = _inverse(x, p)
             return pivot, [(y * inv) % p for y in v]
     return None
+
+
+def _inverse(x: int, p: int) -> int:
+    """The inverse of x mod the prime p, for x not divisible by p; the one
+    place that inverts mod p."""
+    return pow(x, p - 2, p)
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,12 @@ def exhaustive_g(
     representative. The witness is the accepted graph of smallest edge mask
     attaining the maximum, the least `least_edge_mask` of the maximizing
     classes. `graph_budget` bounds the containment tests, one per class and
-    S, and is checked before each level grows, so before any solve.
+    S. Before each level grows, the budget is checked against a lower bound
+    on the whole sweep's tests, so a hopeless sweep is refused before it
+    grows further and before any solve. When H has no isolated vertex no
+    later level has fewer classes, so the bound counts this level's classes
+    at every level still to grow; otherwise it is the tests so far. At the
+    last level both are the sweep's exact count.
     `graphs_checked` is the 2^C(n,2) labeled graphs, `accepted` counts
     labeled graphs, `evaluated` classes.
 
@@ -343,10 +348,20 @@ def exhaustive_g(
     start = empty_graph(0)
     # canonical key -> [complement representative, labeled count]
     classes: dict[tuple, list] = {canonical_key(start): [start, 1]}
+    # with no isolated vertex in H, adding one to an H-free complement keeps
+    # it H-free, and maps the classes at each level injectively into the
+    # next, so no later level has fewer classes than this one
+    isolated = 0 in h_graph.adj
     tests = 0
     for v in range(n):
         tests += len(classes) << v
-        check_budget(tests, graph_budget, f"graph sweep at n={n} growing to {v + 1} vertices")
+        bound = tests if isolated else tests + (len(classes) << n) - (len(classes) << v + 1)
+        check_budget(
+            bound,
+            graph_budget,
+            f"graph sweep at n={n} growing to {v + 1} vertices,"
+            " at least the estimated work in containment tests,",
+        )
         grown: dict[tuple, list] = {}
         for comp, count in classes.values():
             for s in range(1 << v):

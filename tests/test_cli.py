@@ -693,15 +693,17 @@ class TestVerifyCommand:
         )
 
     def test_forest_sweep_at_n_200_is_a_budget_refusal(self, capsys):
-        # the containment tests pass the budget while growing to 15 vertices,
-        # long before the 2^19900 labeled graphs at n = 200 matter
+        # before the first vertex grows, the sweep's containment tests are at
+        # least one per S at every level, 2^200 - 1, long before the 2^19900
+        # labeled graphs at n = 200 matter
         code = main([
             "verify", "lemma", "--id", "forest", "--n", "200", "--h", "P3", "--field", "2",
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            "budget refusal: graph sweep at n=200 growing to 15 vertices refused"
-            " (estimated work 240299, budget 131072)\n"
+            "budget refusal: graph sweep at n=200 growing to 1 vertices, at least the"
+            " estimated work in containment tests, refused"
+            f" (estimated work {2**200 - 1}, budget 131072)\n"
         )
 
 

@@ -56,6 +56,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize(
+        "n, rows, pair",
+        [
+            (2, (0b00, 0b01), (1, 0)),
+            # the 4-cycle 0-1-2-3 plus the bit 1 in row 3 alone
+            (4, (0b1010, 0b0101, 0b1010, 0b0111), (3, 1)),
+        ],
+    )
+    def test_rejects_an_asymmetric_bit_below_the_diagonal(self, n, rows, pair):
+        # every bit above the diagonal has its mirror; the one bit below it
+        # without a mirror is found and named
+        with pytest.raises(ValueError, match=rf"^adjacency not symmetric at \({pair[0]},{pair[1]}\)$"):
+            Graph(n, rows)
+
     def test_digraph_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Digraph.from_arcs(2, [(1, 1)])

@@ -208,12 +208,15 @@ def _sparse_or_dense_rows(n: int, p: int, kind: str, seed: int) -> list[list[int
     return rows
 
 
-@pytest.mark.parametrize("p", [2, 3, CERTIFICATE_PRIME])
-@pytest.mark.parametrize("n", [PACKED_MIN_COLUMNS, 2 * PACKED_MIN_COLUMNS])
-@pytest.mark.parametrize("kind, packed", [("two", False), ("three", True), ("dense", True)])
-def test_mod_rank_routes_long_rows_by_nonzeros(p, n, kind, packed, monkeypatch):
-    # long rows go packed unless no row has more than two nonzeros; either
-    # way the rank is the number of rows _echelon_residue leaves a residue for
+@pytest.mark.parametrize("p", [2, 3, 5, CERTIFICATE_PRIME])
+@pytest.mark.parametrize("n", [PACKED_MIN_COLUMNS - 1, PACKED_MIN_COLUMNS, 32, 64])
+@pytest.mark.parametrize("kind, fills", [("two", False), ("three", True), ("dense", True)])
+def test_mod_rank_routes_long_rows_by_nonzeros(p, n, kind, fills, monkeypatch):
+    # long rows over a Mersenne prime go packed unless no row has more than
+    # two nonzeros, so that the matrix can fill in; GF(2), GF(5) and short
+    # rows stay lists at every width. Either way the rank is the number of
+    # rows _echelon_residue leaves a residue for
+    packed = p in (3, CERTIFICATE_PRIME) and n >= PACKED_MIN_COLUMNS and fills
     routed = []
     packed_rank = matrices._packed_rank
     monkeypatch.setattr(
@@ -228,6 +231,73 @@ def test_mod_rank_routes_long_rows_by_nonzeros(p, n, kind, packed, monkeypatch):
                 basis.append(residue)
         assert mod_rank(rows, p) == len(basis)
     assert routed == ([p] * 3 if packed else [])
+
+
+MERSENNE_PRIMES = [3, 7, 31, 127, 8191, CERTIFICATE_PRIME]
+
+
+@pytest.mark.parametrize("p", MERSENNE_PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 7, PACKED_MIN_COLUMNS])
+def test_fold_takes_every_slot_to_its_residue(p, n):
+    # the slots of a vector reduced against n basis rows are at most the
+    # bound; below 10^4 every value up to it is folded, above it random ones,
+    # the bound and the values around p and 2p, which the last conditional
+    # subtraction decides
+    bound = (p - 1) + n * (p - 1) ** 2
+    w = bound.bit_length() + 7 >> 3 << 3
+    if bound < 10_000:
+        values = list(range(bound + 1))
+    else:
+        rng = random.Random(p * n)
+        values = [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, bound - 1, bound]
+        values += [rng.randint(0, bound) for _ in range(200)]
+    for width in sorted({1, n}):
+        ones = ((1 << width * w) - 1) // ((1 << w) - 1)
+        fold = matrices._folder(p, w, ones, bound)
+        for start in range(0, len(values), width):
+            slots = values[start:start + width]
+            packed = sum(x << w * i for i, x in enumerate(slots))
+            assert fold(packed) == sum(x % p << w * i for i, x in enumerate(slots))
+
+
+def _triangular_rows(n: int, p: int) -> list[list[int]]:
+    """n - 1 rows with pivot 1 at columns 0..n-2 and p - 1 = -1 at every
+    later column, then a vector in their span whose every factor against
+    them is 1: each of the n - 1 row steps adds (p - 1)^2 to every later
+    slot, so its last slot reaches (n - 1)(p - 1)^2, next to the bound the
+    slot width holds, and must fold to 0."""
+    rows = [[0] * i + [1] + [p - 1] * (n - 1 - i) for i in range(n - 1)]
+    return rows + [[(1 - j) % p for j in range(n - 1)] + [(1 - n) % p]]
+
+
+@pytest.mark.parametrize("p", MERSENNE_PRIMES)
+@pytest.mark.parametrize(
+    "n", [PACKED_MIN_COLUMNS - 1, PACKED_MIN_COLUMNS, PACKED_MIN_COLUMNS + 1, 3 * PACKED_MIN_COLUMNS]
+)
+def test_packed_kernel_matches_the_oracle_at_full_slots(p, n, monkeypatch):
+    routed = []
+    packed_rank = matrices._packed_rank
+    monkeypatch.setattr(
+        matrices, "_packed_rank", lambda rows, q: routed.append(q) or packed_rank(rows, q)
+    )
+    rows = _triangular_rows(n, p)
+    # one more in the last slot leaves a residue
+    assert mod_rank(rows, p) == _plain_mod_rank(rows, p) == n - 1
+    rows[-1][-1] += 1
+    assert mod_rank(rows, p) == _plain_mod_rank(rows, p) == n
+    # scaled and permuted rows, and dense random rows with combinations of
+    # them, through the same kernel
+    rng = random.Random(n * p)
+    scaled = [[rng.randrange(1, p) * x for x in row] for row in rows]
+    rng.shuffle(scaled)
+    assert mod_rank(scaled, p) == _plain_mod_rank(scaled, p)
+    dense = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n // 2)]
+    dense += [
+        [sum(rng.randrange(p) * row[j] for row in dense) for j in range(n)] for _ in range(n // 2)
+    ]
+    rng.shuffle(dense)
+    assert mod_rank(dense, p) == _plain_mod_rank(dense, p)
+    assert routed == ([p] * 4 if n >= PACKED_MIN_COLUMNS else [])
 
 
 class TestSparsity:

@@ -119,8 +119,8 @@ def test_no_private_imports_between_modules():
 
 
 def test_one_modular_inverse():
-    # every elimination over GF(p), list or packed rows, scales its pivots in
-    # matrices._echelon_residue, the one place that inverts mod p, as
+    # every elimination over GF(p), list or packed rows, scales its pivots by
+    # matrices._inverse, the one place that inverts mod p, as
     # pow(x, p - 2, p); a modular power with any other exponent inverts
     # nothing and is not counted
     package = Path(minranklab.__file__).parent

@@ -16,6 +16,7 @@ from minranklab.graphs import (
     complete_graph,
     contains_subgraph,
     cycle_graph,
+    empty_graph,
     named_graph,
     path_graph,
     sample_digraph,
@@ -544,6 +545,26 @@ class TestExhaustive:
         with pytest.raises(BudgetExceededError, match="growing to 7 vertices") as info:
             exhaustive_g(7, complete_graph(3), 2, graph_budget=3026)
         assert (info.value.estimate, info.value.budget) == (3027, 3026)
+
+    def test_hopeless_sweep_refused_before_it_grows(self, monkeypatch):
+        # K3 has no isolated vertex, so no level has fewer classes than the
+        # one below: after the 16,723 tests that grow 8 vertices, the 410
+        # classes there make 410 * 2^8 tests growing to 9 and at least
+        # 410 * 2^9 growing to 10, past the budget before anything grows on
+        with pytest.raises(BudgetExceededError, match="growing to 9 vertices") as info:
+            exhaustive_g(10, complete_graph(3), 2)
+        assert info.value.estimate == 16723 + 410 * (2**8 + 2**9)
+        monkeypatch.setattr(verifiers, "contains_subgraph", None)  # refused before any test
+        with pytest.raises(BudgetExceededError, match="growing to 1 vertices") as info:
+            exhaustive_g(200, path_graph(3), 2)
+        assert info.value.estimate == 2**200 - 1
+
+    def test_pattern_with_an_isolated_vertex_counts_only_the_tests_so_far(self):
+        # two isolated vertices embed in every complement of two or more
+        # vertices, so the sweep ends after 1 + 2 tests; a bound that assumed
+        # the classes never shrink would refuse it at once
+        with pytest.raises(ValueError, match="no graph on n vertices"):
+            exhaustive_g(20, empty_graph(2), 2, graph_budget=3)
 
     @pytest.mark.parametrize("p", [4, 1])
     def test_non_prime_field_refused_before_the_sweep(self, p, monkeypatch):
